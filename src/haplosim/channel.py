@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import Haplotype, MembershipVector, ReadMatrix, _unchecked_read_matrix
+from .model import Haplotype, MembershipVector, ReadMatrix
+from .planted import _log_comb
 
 __all__ = [
     "ChannelConfig",
@@ -53,20 +55,27 @@ class ChannelConfig:
             raise ValueError(f"p must be in [0, 0.5], got {self.p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseMatrix:
-    """The set of (row, col) positions whose observed sign was inverted."""
+    """Which observations of `observed` had their sign inverted: `mask[e]`
+    is set for stored entry e (storage order)."""
 
-    flips: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flips", frozenset((int(i), int(j)) for i, j in self.flips))
+    observed: ReadMatrix
+    mask: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.flips)
+        return int(np.count_nonzero(self.mask))
 
-    def __contains__(self, pos: tuple[int, int]) -> bool:
-        return pos in self.flips
+    @cached_property
+    def flips(self) -> frozenset[tuple[int, int]]:
+        """The flipped (row, col) positions."""
+        rows = self.observed.entry_rows()[self.mask]
+        return frozenset(zip(rows.tolist(), self.observed.indices[self.mask].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NoiseMatrix):
+            return NotImplemented
+        return self.observed == other.observed and np.array_equal(self.mask, other.mask)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -105,7 +114,7 @@ def transmit(
 ) -> tuple[ReadMatrix, NoiseMatrix]:
     """Push the rank-1 source through the channel.
 
-    Returns the observed matrix and the exact set of flipped positions.
+    Returns the observed matrix and the mask of its flipped entries.
     Deterministic given cfg.seed, with the mask drawn exactly as
     sample_mask draws it. Flip decisions use one uniform per stored entry,
     so memory stays O(m*k) even for large n.
@@ -119,23 +128,13 @@ def transmit(
     cols = _draw_columns(cfg, rng)
     values = c.to_array()[:, None] * h.to_array()[cols]
     if cfg.p > 0.0:
-        flip_here = rng.random((cfg.m, cfg.k)) < cfg.p
-        values = np.where(flip_here, -values, values)
-        flips = frozenset(
-            (int(i), int(cols[i, t])) for i, t in np.argwhere(flip_here)
-        )
+        flipped = rng.random((cfg.m, cfg.k)) < cfg.p
+        values = np.where(flipped, -values, values)
     else:
-        flips = frozenset()
-    rows = tuple(
-        tuple((int(j), int(v)) for j, v in zip(cols[i], values[i])) for i in range(cfg.m)
-    )
-    return _unchecked_read_matrix(cfg.n, rows), NoiseMatrix(flips)
-
-
-def _log_comb(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        flipped = np.zeros((cfg.m, cfg.k), dtype=bool)
+    indptr = np.arange(0, cfg.m * cfg.k + 1, cfg.k)
+    observed = ReadMatrix.from_csr(cfg.n, indptr, cols.ravel(), values.ravel())
+    return observed, NoiseMatrix(observed, flipped.ravel())
 
 
 def _log_sum_exp(terms: list[float]) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,10 +35,6 @@ def _say(message: str) -> None:
 
 def _emit(key: str, value) -> None:
     print(f"{key}={value}")
-
-
-def _signs(values) -> str:
-    return " ".join("+1" if v == 1 else "-1" for v in values)
 
 
 def _cmd_simulate(args, parser) -> int:
@@ -80,37 +75,45 @@ def _cmd_decode(args, parser) -> int:
     except (OSError, ValueError) as exc:
         _say(f"cannot load {args.input}: {exc}")
         return EXIT_USAGE
-
-    if args.algo == "ed":
-        result = erasure.decode(observed, strict=args.strict)
-        if not result.ok:
-            _say(f"FAILURE {result.describe()}")
-            _emit("status", "failure")
-            _emit("reason", result.describe())
-            return EXIT_DECODE_FAILURE
-        estimate, membership = result.haplotype, result.membership
-    else:
-        cfg = SpectralConfig(tolerance=args.tol, max_iterations=args.max_iter, seed=args.seed)
-        try:
-            result = spectral.decode(observed, cfg)
-        except NonConvergedError as exc:
-            _say(f"FAILURE NonConverged (residual {exc.residual:.3e})")
-            _emit("status", "failure")
-            _emit("reason", "NonConverged")
-            return EXIT_NON_CONVERGED
-        estimate = result.haplotype
-        membership = spectral.infer_memberships(observed, estimate) if args.memberships else None
-
-    _emit("status", "success")
-    _emit("h", _signs(estimate.alleles))
-    if membership is not None:
-        _emit("c", _signs(membership.members))
+    true_h = None
     if args.truth:
         try:
             true_h, _true_c = fragio.load_truth(args.truth)
         except (OSError, ValueError) as exc:
             _say(f"cannot load truth file {args.truth}: {exc}")
             return EXIT_USAGE
+        if len(true_h) != observed.num_cols:
+            _say(f"truth file {args.truth} has {len(true_h)} sites, not {observed.num_cols}")
+            return EXIT_USAGE
+
+    try:
+        if args.algo == "ed":
+            result = erasure.decode(observed, strict=args.strict)
+        else:
+            cfg = SpectralConfig(tolerance=args.tol, max_iterations=args.max_iter, seed=args.seed)
+            result = spectral.decode(observed, cfg)
+    except NonConvergedError as exc:
+        _say(f"FAILURE NonConverged (residual {exc.residual:.3e})")
+        _emit("status", "failure")
+        _emit("reason", "NonConverged")
+        return EXIT_NON_CONVERGED
+    except ValueError as exc:  # inputs the decoder does not accept
+        _say(f"cannot decode {args.input} with --algo {args.algo}: {exc}")
+        return EXIT_USAGE
+    if not result.ok:
+        _say(f"FAILURE {result.describe()}")
+        _emit("status", "failure")
+        _emit("reason", result.describe())
+        return EXIT_DECODE_FAILURE
+    estimate, membership = result.haplotype, result.membership
+    if args.algo == "sp" and args.memberships:
+        membership = spectral.infer_memberships(observed, estimate)
+
+    _emit("status", "success")
+    _emit("h", fragio.format_signs(estimate.alleles))
+    if membership is not None:
+        _emit("c", fragio.format_signs(membership.members))
+    if true_h is not None:
         errors, flip = hamming_up_to_flip(true_h, estimate)
         _emit("errors", errors)
         _emit("flip", f"{flip:+d}")
@@ -251,7 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", required=True)
     exp.add_argument("--trials", type=int, default=None)
     exp.add_argument("--seed", type=int, default=None, help="override the base seed")
-    exp.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
+    exp.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads; results do not depend on it (default 1)",
+    )
     exp.add_argument(
         "--no-timing", action="store_true",
         help="write 0.0 in the timing column for byte-reproducible output",

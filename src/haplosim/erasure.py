@@ -3,20 +3,27 @@
 Starting from an arbitrary observed entry of the first read, memberships
 and SNP values propagate across reads that share observed columns. The
 original formulation repeatedly deletes resolved rows; the propagation here
-is a breadth-first walk over the row/column incidence structure, which
-visits the same entries and reaches the same success/failure verdicts in
-O(m*k + n) time.
+is one breadth-first search (scipy.sparse.csgraph) over the read/column
+incidence graph, whose nodes are the reads 0..m-1 followed by the columns
+m..m+n-1. Each node takes the sign of its BFS-tree parent times the entry
+joining them; since every read lists its columns in ascending order and
+every column its reads in ascending order, the tree, and so every first
+implied value, is the one a queue-driven walk would build. The same graph
+gives the connected components. Cost is O(m*k + n) plus a logarithmic
+number of vector passes to push signs down the tree.
 
 Failure classification: an uncovered column is reported before a
 disconnected split when both hold. On noisy input the walk keeps going by
 default and each column is settled by the majority of propagated votes
 (ties to +1) -- a practical extension with no recovery guarantee; pass
-strict=True to abort at the first conflicting entry instead.
+strict=True to report any entry that conflicts with the propagated values
+of its component (as an Inconsistent failure) instead.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
+import scipy.sparse as sp
 
 from .model import (
     DISCONNECTED,
@@ -31,24 +38,20 @@ from .model import (
 __all__ = ["decode", "overlap_components"]
 
 
-class _DisjointSet:
-    """Union-find with path compression over a fixed element range."""
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _incidence_graph(matrix: ReadMatrix) -> sp.csr_matrix:
+    """Symmetric (m+n)-node read/column graph with ascending neighbour lists,
+    each edge weighted by its entry's allele."""
+    m, n = matrix.num_rows, matrix.num_cols
+    by_col = np.argsort(matrix.indices, kind="stable")  # rows stay ascending per column
+    col_ptr = np.cumsum(np.bincount(matrix.indices, minlength=n))
+    return sp.csr_matrix(
+        (
+            np.concatenate([matrix.values, matrix.values[by_col]]),
+            np.concatenate([matrix.indices + m, matrix.entry_rows()[by_col]]),
+            np.concatenate([matrix.indptr, matrix.indptr[-1] + col_ptr]),
+        ),
+        shape=(m + n, m + n),
+    )
 
 
 def overlap_components(matrix: ReadMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -59,20 +62,14 @@ def overlap_components(matrix: ReadMatrix) -> list[tuple[tuple[int, ...], tuple[
     no observations form singleton components with an empty row tuple.
     Components are ordered by their smallest member (rows first).
     """
-    m, n = matrix.num_rows, matrix.num_cols
-    ds = _DisjointSet(m + n)
-    for i, j, _ in matrix.entries():
-        ds.union(i, m + j)
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(m):
-        groups.setdefault(ds.find(i), ([], []))[0].append(i)
-    for j in range(n):
-        groups.setdefault(ds.find(m + j), ([], []))[1].append(j)
-    components = [
-        (tuple(rows), tuple(cols)) for rows, cols in groups.values()
-    ]
-    components.sort(key=lambda rc: (rc[0][0] if rc[0] else m + rc[1][0]))
-    return components
+    from scipy.sparse.csgraph import connected_components
+
+    m = matrix.num_rows
+    _count, labels = connected_components(_incidence_graph(matrix), directed=False)
+    # labels number the components in order of their smallest node; a
+    # stable sort keeps each component's nodes ascending
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return [(tuple(g[g < m].tolist()), tuple((g[g >= m] - m).tolist())) for g in groups]
 
 
 def decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
@@ -84,59 +81,49 @@ def decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
 
     strict=False (default): conflicting entries are tolerated and each
     column takes the sign of the sum of propagated votes, ties to +1.
-    strict=True: the first conflict aborts with an Inconsistent failure.
+    strict=True: a conflicting entry in the first read's component is an
+    Inconsistent failure.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
     m, n = matrix.num_rows, matrix.num_cols
     if m == 0:
         raise ValueError("cannot decode an empty read matrix")
-    for i, row in enumerate(matrix.rows):
-        if not row:
-            raise ValueError(f"row {i} has no observations")
+    lengths = np.diff(matrix.indptr)
+    if not lengths.all():
+        raise ValueError(f"row {int(np.argmin(lengths))} has no observations")
+    uncovered = np.flatnonzero(np.bincount(matrix.indices, minlength=n) == 0)
+    if uncovered.size:
+        return RecoveryResult(None, None, reason=UNCOVERED_COLUMN, column=int(uncovered[0]))
 
-    cols_to_rows: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in matrix.entries():
-        cols_to_rows[j].append(i)
-    for j in range(n):
-        if not cols_to_rows[j]:
-            return RecoveryResult(None, None, reason=UNCOVERED_COLUMN, column=j)
+    graph = _incidence_graph(matrix)
+    order, parent = breadth_first_order(graph, 0, directed=True, return_predecessors=True)
+    child = order[1:]
+    up = np.arange(m + n)
+    up[child] = parent[child]
+    sign = np.zeros(m + n, dtype=np.int8)  # stays 0 where the search does not reach
+    sign[0] = 1
+    sign[child] = np.asarray(graph[up[child], child]).ravel()  # entry joining child to parent
+    # pointer jumping: sign[v] becomes the product of entry signs from v up
+    # to up[v], until up[v] is the root for every reached node
+    while np.any(up[up] != up):
+        sign = sign * sign[up]
+        up = up[up]
+    c, h = sign[:m], sign[m:]
 
-    row_value = {i: dict(row) for i, row in enumerate(matrix.rows)}
-    c = [0] * m  # 0 = not yet reached
-    h = [0] * n
-    votes = [0] * n
-    c[0] = 1
-    rows_seen = 1
-    cols_seen = 0
-    queue: deque[tuple[bool, int]] = deque([(True, 0)])
-    while queue:
-        is_row, idx = queue.popleft()
-        if is_row:
-            # each row is dequeued once, so every entry votes exactly once
-            for j, r in matrix.rows[idx]:
-                implied = c[idx] * r
-                votes[j] += implied
-                if h[j] == 0:
-                    h[j] = implied
-                    cols_seen += 1
-                    queue.append((False, j))
-                elif h[j] != implied and strict:
-                    return RecoveryResult(None, None, reason=INCONSISTENT)
-        else:
-            for i in cols_to_rows[idx]:
-                implied = row_value[i][idx] * h[idx]
-                if c[i] == 0:
-                    c[i] = implied
-                    rows_seen += 1
-                    queue.append((True, i))
-                elif c[i] != implied and strict:
-                    return RecoveryResult(None, None, reason=INCONSISTENT)
-
-    if rows_seen < m or cols_seen < n:
+    entry_rows = matrix.entry_rows()
+    implied = c[entry_rows] * matrix.values  # each entry's vote for its column
+    if strict and np.any(implied != h[matrix.indices]):
+        return RecoveryResult(None, None, reason=INCONSISTENT)
+    if order.size < m + n:
         return RecoveryResult(None, None, reason=DISCONNECTED)
 
     if not strict:
-        h = [1 if v >= 0 else -1 for v in votes]
-    estimate = Haplotype(tuple(h))
-    membership = MembershipVector(tuple(c))
-    mismatches = sum(1 for i, j, r in matrix.entries() if c[i] * h[j] != r)
-    return RecoveryResult(estimate, membership, meta={"mismatches": mismatches})
+        votes = np.bincount(matrix.indices, weights=implied, minlength=n)
+        h = np.where(votes >= 0, 1, -1)
+    mismatches = int(np.count_nonzero(c[entry_rows] * h[matrix.indices] != matrix.values))
+    return RecoveryResult(
+        Haplotype(tuple(h.tolist())),
+        MembershipVector(tuple(c.tolist())),
+        meta={"mismatches": mismatches},
+    )

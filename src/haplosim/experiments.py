@@ -22,7 +22,6 @@ import numpy as np
 
 from . import erasure, spectral
 from .channel import ChannelConfig, transmit
-from .fragio import load_fragments, save_fragments  # re-exported file I/O
 from .model import Haplotype, MembershipVector, hamming_up_to_flip
 from .spectral import NonConvergedError, SpectralConfig
 
@@ -36,8 +35,6 @@ __all__ = [
     "wilson_interval",
     "preset",
     "parse_config_text",
-    "load_fragments",
-    "save_fragments",
 ]
 
 M_RULES = ("linear", "nlogn", "coverage")

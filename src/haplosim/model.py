@@ -9,6 +9,7 @@ represented structurally (absent from a row), never as a third allele value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -29,9 +30,9 @@ __all__ = [
 
 
 def _check_signs(values: tuple[int, ...], what: str) -> None:
-    for v in values:
-        if v != 1 and v != -1:
-            raise ValueError(f"{what} entries must be +1 or -1, got {v!r}")
+    if not set(values) <= {1, -1}:
+        bad = next(v for v in values if v != 1 and v != -1)
+        raise ValueError(f"{what} entries must be +1 or -1, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class Haplotype:
     alleles: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alleles", tuple(int(a) for a in self.alleles))
+        object.__setattr__(self, "alleles", tuple(map(int, self.alleles)))
         if len(self.alleles) < 2:
             raise ValueError("haplotype needs at least 2 SNP sites")
         _check_signs(self.alleles, "haplotype")
@@ -66,7 +67,7 @@ class MembershipVector:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(int(c) for c in self.members))
+        object.__setattr__(self, "members", tuple(map(int, self.members)))
         if len(self.members) < 1:
             raise ValueError("membership vector needs at least 1 read")
         _check_signs(self.members, "membership")
@@ -84,61 +85,98 @@ class MembershipVector:
         return np.array(self.members, dtype=np.int8)
 
 
-@dataclass(frozen=True)
 class ReadMatrix:
-    """Sparse m x n observation matrix.
+    """Sparse m x n observation matrix in CSR form.
 
-    Each row is a sorted tuple of (column, allele) pairs with 0-based,
-    strictly increasing column indices and alleles in {+1, -1}. A position
-    absent from its row is erased.
+    Row i stores entries indptr[i]:indptr[i+1] of `indices` (0-based
+    columns, strictly increasing within the row, int32) and `values`
+    (alleles +1/-1, int8). A position absent from its row is erased.
+    Build one from per-row (column, allele) tuples, or from the arrays with
+    `from_csr`; `rows` and `entries()` are views built on demand.
     """
 
-    num_cols: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, num_cols: int, rows: Iterable[Iterable[tuple[int, int]]] = ()) -> None:
+        rows = [tuple(row) for row in rows]
+        flat = np.array([entry for row in rows for entry in row], dtype=np.int64).reshape(-1, 2)
+        self._assign(num_cols, np.cumsum([0] + [len(row) for row in rows]), flat[:, 0], flat[:, 1])
 
-    def __post_init__(self) -> None:
-        if self.num_cols < 1:
+    @classmethod
+    def from_csr(cls, num_cols: int, indptr, indices, values) -> "ReadMatrix":
+        """Wrap CSR arrays, with the same validation as the row constructor."""
+        matrix = cls.__new__(cls)
+        matrix._assign(num_cols, indptr, indices, values)
+        return matrix
+
+    def _assign(self, num_cols: int, indptr, indices, values) -> None:
+        if num_cols < 1:
             raise ValueError("num_cols must be >= 1")
-        clean = []
-        for i, row in enumerate(self.rows):
-            entries = tuple((int(j), int(a)) for j, a in row)
-            prev = -1
-            for j, a in entries:
-                if not 0 <= j < self.num_cols:
-                    raise ValueError(f"row {i}: column {j} out of range [0, {self.num_cols})")
-                if j <= prev:
-                    raise ValueError(f"row {i}: columns must be strictly increasing at {j}")
-                if a != 1 and a != -1:
-                    raise ValueError(f"row {i}: allele must be +1 or -1, got {a!r}")
-                prev = j
-            clean.append(entries)
-        object.__setattr__(self, "rows", tuple(clean))
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        if indptr[:1].tolist() != [0] or np.any(np.diff(indptr) < 0) or not (
+            indptr.ndim == indices.ndim == 1 and indptr[-1] == indices.size == values.size
+        ):
+            raise ValueError("inconsistent CSR arrays")
+        self.num_cols = int(num_cols)
+        self.indptr = indptr
+        rows = self.entry_rows()
+        bad = (indices < 0) | (indices >= num_cols) | ((values != 1) & (values != -1))
+        bad[1:] |= (indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(
+                f"row {rows[e]}: entry ({indices[e]}, {values[e]}) needs a column in "
+                f"[0, {num_cols}) above the previous one and an allele of +1 or -1"
+            )
+        self.indices = indices.astype(np.int32)
+        self.values = values.astype(np.int8)
+        for array in (self.indptr, self.indices, self.values):
+            array.setflags(write=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReadMatrix):
+            return NotImplemented
+        return (
+            self.num_cols == other.num_cols
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __repr__(self) -> str:
+        return f"ReadMatrix({self.num_cols}, {self.rows!r})"
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.indptr.size - 1
+
+    def num_entries(self) -> int:
+        return self.indices.size
+
+    def entry_rows(self) -> np.ndarray:
+        """Row index of every stored entry, in storage order."""
+        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-row tuples of (column, allele) pairs."""
+        cols, vals, bounds = self.indices.tolist(), self.values.tolist(), self.indptr.tolist()
+        return tuple(
+            tuple(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         """Yield (row, column, allele) for every stored observation."""
-        for i, row in enumerate(self.rows):
-            for j, a in row:
-                yield i, j, a
-
-    def num_entries(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return zip(self.entry_rows().tolist(), self.indices.tolist(), self.values.tolist())
 
     def to_dense(self, fill: int = 0) -> np.ndarray:
         """Dense int8 copy with `fill` at erased positions."""
         out = np.full((self.num_rows, self.num_cols), fill, dtype=np.int8)
-        for i, j, a in self.entries():
-            out[i, j] = a
+        out[self.entry_rows(), self.indices] = self.values
         return out
 
     def negated(self) -> "ReadMatrix":
-        return ReadMatrix(
-            self.num_cols,
-            tuple(tuple((j, -a) for j, a in row) for row in self.rows),
-        )
+        return ReadMatrix.from_csr(self.num_cols, self.indptr, self.indices, -self.values)
 
 
 # Failure reasons carried by RecoveryResult.
@@ -179,14 +217,6 @@ class RecoveryResult:
         if self.reason == NON_CONVERGED:
             return "NonConverged"
         return self.reason
-
-
-def _unchecked_read_matrix(num_cols: int, rows: tuple) -> ReadMatrix:
-    """Skip per-entry validation for rows the simulator already guarantees."""
-    matrix = object.__new__(ReadMatrix)
-    object.__setattr__(matrix, "num_cols", num_cols)
-    object.__setattr__(matrix, "rows", rows)
-    return matrix
 
 
 def encode(h: Haplotype, c: MembershipVector) -> np.ndarray:

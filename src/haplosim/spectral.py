@@ -6,22 +6,19 @@ disagreeing reads are tallied; the pair is linked iff agreements win
 strictly. The haplotype is then read off the signs of the eigenvector for
 the second largest eigenvalue of the 0/1 adjacency.
 
-Eigenpairs come from a blocked orthogonal iteration (two wanted columns
-plus one guard column) with Rayleigh-Ritz extraction on the shifted
-operator A + shift*I, where shift is one more than the largest absolute
-row sum. The shift keeps the spectrum positive (so the two algebraically
-largest eigenvalues are also the dominant ones) and is never materialized.
-Iterating a block keeps convergence governed by the gap past the block,
-so near-ties among the leading eigenvalues (routine for error-free
-inputs, whose adjacency splits into two blocks) do not stall it; exact
-ties are separated by the small Ritz eigenproblem directly. Cost is
-O(iterations * nnz(A)).
+Eigenpairs come from the implicitly restarted Lanczos method of ARPACK
+(Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) through
+scipy.sparse.linalg.eigsh(k=2, which="LA"), started from a vector drawn
+from SpectralConfig.seed and converged well past the residual contract.
+Matrices of size 2, which ARPACK cannot take with k=2, go to a dense
+solver; the zero matrix needs no solve. Cost is O(restarts * ncv * nnz(A)).
 
 Post-processing, each step accepted only if the residual and orthogonality
 contracts still hold afterwards:
-  * if the top two eigenvalues tie within 10*tolerance, the returned basis
-    of their eigenspace is rotated so v1 aligns with the all-ones
-    direction, matching the block structure the planted analysis predicts;
+  * if the top two eigenvalues tie within 10*tolerance*max(1, |lambda1|),
+    the returned basis of their eigenspace is rotated so v1 aligns with
+    the all-ones direction, matching the block structure the planted
+    analysis predicts;
   * vector entries that are pure iteration dust are snapped to exact zero,
     so columns invisible to an eigenvector land deterministically in the
     >= 0 branch of the sign split;
@@ -34,9 +31,9 @@ contracts still hold afterwards:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,31 +64,62 @@ class NonConvergedError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
+class _PairTallies(Mapping):
+    """Read-only mapping (u, v) -> (agree, disagree) over sorted pair keys u*size+v."""
+
+    def __init__(self, size: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        self._size, self._keys, self._counts = size, keys, counts
+
+    def __len__(self) -> int:
+        return self._keys.size
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return (divmod(key, self._size) for key in self._keys.tolist())
+
+    def __getitem__(self, pair) -> tuple[float, float]:
+        u, v = pair
+        key = u * self._size + v
+        index = int(np.searchsorted(self._keys, key))
+        if not (0 <= u < v < self._size and index < self._keys.size and self._keys[index] == key):
+            raise KeyError(pair)
+        agree, disagree = self._counts[index].tolist()
+        return agree, disagree
+
+
 class VoteMatrix:
     """Symmetric 0/1 zero-diagonal adjacency from per-pair majority votes.
 
     `tallies` maps each co-observed pair (u, v) with u < v to its
-    (agree, disagree) counts; the linked pairs (a_uv = 1) are derived as
-    exactly those with agree > disagree, so ties and never-co-observed
-    pairs stay 0.
+    (agree, disagree) counts; `edges`, the set of linked pairs (a_uv = 1),
+    holds exactly those with agree > disagree, so ties and
+    never-co-observed pairs stay 0. Both are views over sorted arrays of
+    pair keys u*size+v.
     """
 
-    size: int
-    tallies: dict[tuple[int, int], tuple[float, float]]
-    edges: frozenset[tuple[int, int]] = None  # type: ignore[assignment]
+    def __init__(self, size: int, tallies: Mapping[tuple[int, int], tuple[float, float]]) -> None:
+        for (u, v) in tallies:
+            if not 0 <= u < v < size:
+                raise ValueError(f"bad pair ({u}, {v}) for size {size}")
+        keys = np.array([u * size + v for u, v in tallies], dtype=np.int64)
+        counts = np.array(list(tallies.values()), dtype=float).reshape(-1, 2)
+        order = np.argsort(keys)
+        self._assign(size, keys[order], counts[order])
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    @classmethod
+    def from_counts(cls, size: int, keys: np.ndarray, counts: np.ndarray) -> "VoteMatrix":
+        """Wrap (agree, disagree) rows for the sorted, distinct pair keys u*size+v, u < v."""
+        votes = cls.__new__(cls)
+        votes._assign(size, keys, counts)
+        return votes
+
+    def _assign(self, size: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        if size < 1:
             raise ValueError("size must be >= 1")
-        for (u, v) in self.tallies:
-            if not 0 <= u < v < self.size:
-                raise ValueError(f"bad pair ({u}, {v}) for size {self.size}")
-        object.__setattr__(
-            self,
-            "edges",
-            frozenset(pair for pair, (agree, disagree) in self.tallies.items() if agree > disagree),
-        )
+        linked = counts[:, 0] > counts[:, 1]
+        self.size = size
+        self.tallies = _PairTallies(size, keys, counts)
+        self.edges = _PairTallies(size, keys[linked], counts[linked]).keys()
+        self._edge_keys = keys[linked]
 
     def entry(self, u: int, v: int) -> int:
         if u == v:
@@ -99,26 +127,21 @@ class VoteMatrix:
         return 1 if (min(u, v), max(u, v)) in self.edges else 0
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size))
-        for u, v in self.edges:
-            out[u, v] = out[v, u] = 1.0
-        return out
+        return self.to_sparse().toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
-        if not self.edges:
-            return sp.csr_matrix((self.size, self.size))
-        us, vs = zip(*self.edges)
+        us, vs = np.divmod(self._edge_keys, self.size)
         rows = np.concatenate([us, vs])
         cols = np.concatenate([vs, us])
-        data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.size, self.size))
+        return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.size, self.size))
 
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Eigen iteration knobs: residual tolerance, budget, start-vector seed.
+    """Eigen solver knobs: residual tolerance, ARPACK restart budget,
+    start-vector seed.
 
-    max_iterations=None resolves to max(1000, ceil(10 * n * ln n)).
+    max_iterations=None resolves to 10 * n restarts.
     """
 
     tolerance: float = 1e-8
@@ -129,13 +152,20 @@ class SpectralConfig:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
-    def iteration_budget(self, n: int) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return max(1000, math.ceil(10.0 * n * math.log(max(n, 2))))
-
 
 VoteWeight = Callable[[int, int, int], float]
+
+
+def _row_pairs(matrix: ReadMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Entry indices (first, second) of every within-row pair, row by row
+    in itertools.combinations order."""
+    lengths = np.diff(matrix.indptr)
+    rows = matrix.entry_rows()
+    later = lengths[rows] - 1 - (np.arange(rows.size) - matrix.indptr[rows])
+    first = np.repeat(np.arange(rows.size), later)
+    run_start = np.repeat(np.cumsum(later) - later, later)
+    second = first + 1 + np.arange(first.size) - run_start
+    return first, second
 
 
 def build_adjacency(matrix: ReadMatrix, vote_weight: VoteWeight | None = None) -> VoteMatrix:
@@ -144,16 +174,25 @@ def build_adjacency(matrix: ReadMatrix, vote_weight: VoteWeight | None = None) -
     vote_weight(row, u, v), when given, scales that read's vote on the pair;
     the default is uniform weight 1, the uniform-prior majority vote.
     """
-    tallies: dict[tuple[int, int], list[float]] = {}
-    for i, row in enumerate(matrix.rows):
-        for (u, a), (v, b) in combinations(row, 2):
-            weight = 1.0 if vote_weight is None else vote_weight(i, u, v)
-            counts = tallies.setdefault((u, v), [0.0, 0.0])
-            counts[0 if a == b else 1] += weight
-    return VoteMatrix(
-        matrix.num_cols,
-        {pair: (agree, disagree) for pair, (agree, disagree) in tallies.items()},
-    )
+    n = matrix.num_cols
+    first, second = _row_pairs(matrix)
+    us = matrix.indices[first].astype(np.int64)
+    vs = matrix.indices[second].astype(np.int64)
+    agree = matrix.values[first] == matrix.values[second]
+    if vote_weight is None:
+        weights = np.ones(first.size)
+    else:
+        reads = matrix.entry_rows()[first].tolist()
+        weights = np.array(
+            [vote_weight(i, u, v) for i, u, v in zip(reads, us.tolist(), vs.tolist())],
+            dtype=float,
+        )
+    keys, pair_of = np.unique(us * n + vs, return_inverse=True)
+    counts = [
+        np.bincount(pair_of, weights=np.where(agree == side, weights, 0.0), minlength=keys.size)
+        for side in (True, False)
+    ]
+    return VoteMatrix.from_counts(n, keys, np.stack(counts, axis=1))
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
@@ -171,20 +210,8 @@ def _residual_ok(a: sp.csr_matrix, lam: float, vec: np.ndarray, tol: float) -> b
     return float(np.linalg.norm(a @ vec - lam * vec)) <= tol * max(1.0, abs(lam))
 
 
-def _ritz_pairs(
-    a: sp.csr_matrix, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rayleigh-Ritz on an orthonormal basis: top-2 values, vectors, residuals."""
-    image = a @ basis
-    small = basis.T @ image
-    small = 0.5 * (small + small.T)
-    values, rot = np.linalg.eigh(small)
-    order = np.argsort(values)[::-1][:2]
-    values, rot = values[order], rot[:, order]
-    vectors = basis @ rot
-    resid = (image @ rot) - vectors * values
-    norms = np.linalg.norm(resid, axis=0)
-    return values, vectors, norms
+def _near_tie(lam1: float, lam2: float, tol: float) -> bool:
+    return abs(lam1 - lam2) <= 10.0 * tol * max(1.0, abs(lam1))
 
 
 def top_two_eigenpairs(
@@ -194,60 +221,54 @@ def top_two_eigenpairs(
     symmetric matrix.
 
     Accepts a VoteMatrix, a dense symmetric array, or a scipy sparse
-    matrix. Guarantees ||A v_i - lambda_i v_i|| <= tolerance * max(1,
-    |lambda_i|), unit norms, and |v1 . v2| <= tolerance. The zero matrix
-    yields (0, 0) with an arbitrary orthonormal pair. Raises
-    NonConvergedError after the iteration budget is spent twice (one
-    restart with a fresh start basis).
+    matrix, which is applied as given. Guarantees ||A v_i - lambda_i v_i||
+    <= tolerance * max(1, |lambda_i|), unit norms, and |v1 . v2| <=
+    tolerance. The zero matrix yields (0, 0) with an arbitrary orthonormal
+    pair. Raises NonConvergedError when ARPACK spends its restart budget
+    (or breaks down) or the returned pair misses the residual contract.
     """
+    from scipy.sparse.linalg import ArpackError, eigsh
+
     cfg = config or SpectralConfig()
     a = _as_csr(matrix)
     n = a.shape[0]
     if n < 2:
         raise ValueError("need a matrix of size >= 2")
     tol = cfg.tolerance
-    # Converge well past the contract so that eigenvector dust sits far
-    # below the zero-snap threshold.
-    tol_inner = max(tol * 1e-4, 5e-14)
-    budget = cfg.iteration_budget(n)
-    shift = float(np.abs(a).sum(axis=1).max()) + 1.0 if a.nnz else 1.0
-    rng = np.random.default_rng(cfg.seed)
-
-    best: tuple[float, np.ndarray, np.ndarray, np.ndarray] | None = None  # score, values, vectors, norms
-    iterations_used = 0
-    for attempt in range(2):
-        # one guard column past the two wanted pairs keeps convergence
-        # governed by the gap to lambda_4, so lambda_2 ~ lambda_3 near-ties
-        # do not stall; the retry widens the guard for stacked near-ties
-        block = min(n, 3 + 2 * attempt)
-        basis, _ = np.linalg.qr(rng.standard_normal((n, block)))
-        converged_inner = False
-        for _ in range(budget):
-            iterations_used += 1
-            values, vectors, norms = _ritz_pairs(a, basis)
-            score = float(np.max(norms / np.maximum(1.0, np.abs(values))))
-            if best is None or score < best[0]:
-                best = (score, values, vectors, norms)
-            if score <= tol_inner:
-                converged_inner = True
-                break
-            basis, _ = np.linalg.qr((a @ basis) + shift * basis)
-        if converged_inner:
-            break
-        # restart with a fresh, wider basis; keep the best iterate seen
-    assert best is not None
-    score, values, vectors, norms = best
-    if score > tol:
-        raise NonConvergedError(residual=float(np.max(norms)), iterations=iterations_used)
+    restarts = cfg.max_iterations if cfg.max_iterations is not None else 10 * n
+    if a.nnz == 0:
+        values, vectors = np.zeros(2), np.eye(n, 2)
+    elif n == 2:
+        values, vectors = np.linalg.eigh(a.toarray())
+    else:
+        v0 = np.random.default_rng(cfg.seed).standard_normal(n)
+        try:
+            # ncv < n (where k < ncv allows) so one Lanczos pass cannot span
+            # the whole space and the restart budget binds; converge well
+            # past the contract so eigenvector dust sits far below the
+            # zero-snap threshold
+            values, vectors = eigsh(
+                a, k=2, which="LA", v0=v0, ncv=min(n, max(5, n - 1), 20),
+                maxiter=restarts, tol=max(tol * 1e-4, 5e-14),
+            )
+        except ArpackError:  # includes ArpackNoConvergence
+            x = v0 / np.linalg.norm(v0)
+            ax = a @ x
+            residual = float(np.linalg.norm(ax - float(x @ ax) * x))
+            raise NonConvergedError(residual=residual, iterations=restarts) from None
+    values, vectors = values[::-1], vectors[:, ::-1]  # ascending -> top two first
+    norms = np.linalg.norm(a @ vectors - vectors * values, axis=0)
+    if np.any(norms > tol * np.maximum(1.0, np.abs(values))):
+        raise NonConvergedError(residual=float(np.max(norms)), iterations=restarts)
 
     lam1, lam2 = float(values[0]), float(values[1])
     v1, v2 = vectors[:, 0].copy(), vectors[:, 1].copy()
-    if abs(lam1 - lam2) <= 10.0 * tol * max(1.0, abs(lam1)):
+    if _near_tie(lam1, lam2, tol):
         v1, v2 = _align_degenerate_pair(a, (lam1, lam2), (v1, v2), tol)
     v1 = _snap_tiny_entries(a, lam1, v1, tol)
     v2 = _snap_tiny_entries(a, lam2, v2, tol)
     if abs(float(v1 @ v2)) > tol:  # pragma: no cover - snap gate keeps this false
-        raise NonConvergedError(residual=float(np.max(norms)), iterations=iterations_used)
+        raise NonConvergedError(residual=float(np.max(norms)), iterations=restarts)
     return (lam1, _orient(v1)), (lam2, _orient(v2))
 
 
@@ -315,8 +336,7 @@ def _orient(vec: np.ndarray) -> np.ndarray:
 
 def partition(v2: Sequence[float] | np.ndarray) -> Haplotype:
     """Sign split of the second eigenvector: negative entries become +1."""
-    values = np.asarray(v2, dtype=float)
-    return Haplotype(tuple(1 if x < 0 else -1 for x in values))
+    return Haplotype(tuple(np.where(np.asarray(v2, dtype=float) < 0, 1, -1).tolist()))
 
 
 def decode(matrix: ReadMatrix, config: SpectralConfig | None = None) -> RecoveryResult:
@@ -333,7 +353,7 @@ def decode(matrix: ReadMatrix, config: SpectralConfig | None = None) -> Recovery
     meta = {
         "lambda1": lam1,
         "lambda2": lam2,
-        "low_confidence": abs(lam1 - lam2) < 10.0 * cfg.tolerance,
+        "low_confidence": _near_tie(lam1, lam2, cfg.tolerance),
         "linked_pairs": len(votes.edges),
     }
     return RecoveryResult(estimate, None, meta=meta)
@@ -345,8 +365,8 @@ def infer_memberships(matrix: ReadMatrix, haplotype: Haplotype) -> MembershipVec
         raise ValueError(
             f"haplotype length {len(haplotype)} != matrix columns {matrix.num_cols}"
         )
-    members = []
-    for row in matrix.rows:
-        agreement = sum(value * haplotype[j] for j, value in row)
-        members.append(1 if agreement >= 0 else -1)
-    return MembershipVector(tuple(members))
+    reads = sp.csr_matrix(
+        (matrix.values, matrix.indices, matrix.indptr), shape=(matrix.num_rows, matrix.num_cols)
+    )
+    agreement = reads @ haplotype.to_array().astype(np.int64)
+    return MembershipVector(tuple(np.where(agreement >= 0, 1, -1).tolist()))

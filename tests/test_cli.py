@@ -169,6 +169,39 @@ class TestDecode:
             assert code == 1
 
 
+class TestDecodeRejectsInputs:
+    """Inputs a decoder cannot take: one stderr line, exit 2, nothing on stdout."""
+
+    @staticmethod
+    def rejected(capsys, tmp_path, text, *flags):
+        frag = tmp_path / "in.frag"
+        frag.write_text(text)
+        code, stdout, stderr = run_cli(capsys, "decode", "--in", str(frag), *flags)
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        return stderr
+
+    def test_truth_of_wrong_length(self, capsys, tmp_path, example_8x6):
+        h, c, _ = example_8x6
+        truth = tmp_path / "short.truth"
+        save_truth(h, c, truth)
+        stderr = self.rejected(
+            capsys, tmp_path, "#haplofrag v1\n1 4\n0: 0:1 3:0\n",
+            "--algo", "ed", "--truth", str(truth),
+        )
+        assert "6 sites, not 4" in stderr
+
+    def test_ed_on_an_empty_row(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, "#haplofrag v1\n2 2\n0: 0:1 1:1\n1:\n", "--algo", "ed")
+
+    def test_ed_on_no_reads(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, "#haplofrag v1\n0 3\n", "--algo", "ed")
+
+    def test_sp_on_one_site(self, capsys, tmp_path):
+        self.rejected(capsys, tmp_path, "#haplofrag v1\n2 1\n0: 0:1\n1: 0:0\n", "--algo", "sp")
+
+
 class TestAnalyze:
     def test_fano_error_free(self, capsys):
         code, stdout, _ = run_cli(capsys, "analyze", "--what", "fano", "--n", "1000", "--pe", "0")

@@ -1,0 +1,156 @@
+"""Array implementations against the tuple reference in tuple_reference.py.
+
+Inputs are random ragged matrices (row widths vary, rows may be empty),
+either planted from (h, c) with a random fraction of flipped entries or
+with free signs, so they cover p > 0, uncovered columns, disconnected
+splits and conflicts.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import tuple_reference as ref
+from haplosim import erasure, fragio, spectral
+from haplosim.model import Haplotype, ReadMatrix
+
+sign = st.sampled_from([1, -1])
+
+
+@st.composite
+def read_matrices(draw, max_n=8, max_m=10):
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, max_m))
+    h = draw(st.lists(sign, min_size=n, max_size=n))
+    flip_tenths = draw(st.integers(0, 10))  # 10 means free signs
+    min_width = draw(st.integers(0, 1))
+    rows = []
+    for _ in range(m):
+        c = draw(sign)
+        cols = sorted(draw(st.sets(st.integers(0, n - 1), min_size=min(min_width, n))))
+        row = []
+        for j in cols:
+            if flip_tenths == 10:
+                value = draw(sign)
+            else:
+                value = c * h[j] * (-1 if draw(st.integers(0, 9)) < flip_tenths else 1)
+            row.append((j, value))
+        rows.append(tuple(row))
+    return ReadMatrix(n, tuple(rows))
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type, message and line of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+DIFF = settings(max_examples=300, deadline=None)
+
+
+@DIFF
+@given(read_matrices(), st.booleans())
+# uncovered column 4 and a disconnected split: the column is reported
+@example(ReadMatrix(5, (((0, 1), (1, 1)), ((2, 1), (3, -1)))), False)
+# conflict in the first read's component of a split matrix: Inconsistent
+@example(ReadMatrix(4, (((0, 1), (1, 1)), ((0, 1), (1, -1)), ((2, 1), (3, 1)))), True)
+# conflict only where the walk from read 0 never goes: Disconnected
+@example(ReadMatrix(4, (((0, 1), (1, 1)), ((2, 1), (3, 1)), ((2, 1), (3, -1)))), True)
+def test_erasure_decode_matches_walk(matrix, strict):
+    assert outcome(erasure.decode, matrix, strict=strict) == outcome(
+        ref.erasure_decode, matrix, strict=strict
+    )
+
+
+@DIFF
+@given(read_matrices())
+def test_overlap_components_match_union_find(matrix):
+    assert erasure.overlap_components(matrix) == ref.overlap_components(matrix)
+
+
+def uneven_weight(i, u, v):
+    # tenths are inexact in binary, so equal sums need the same order
+    return (1 + (7 * i + 3 * u + v) % 5) / 10
+
+
+@DIFF
+@given(read_matrices(), st.sampled_from([None, uneven_weight]))
+def test_build_adjacency_matches_dict_tallies(matrix, vote_weight):
+    votes = spectral.build_adjacency(matrix, vote_weight=vote_weight)
+    expected = ref.adjacency_tallies(matrix, vote_weight=vote_weight)
+    assert dict(votes.tallies) == expected
+    assert len(votes.tallies) == len(expected)
+    linked = {pair for pair, (agree, disagree) in expected.items() if agree > disagree}
+    assert votes.edges == linked
+    assert len(votes.edges) == len(linked)
+
+
+@DIFF
+@given(read_matrices(), st.data())
+def test_infer_memberships_matches_row_sums(matrix, data):
+    n = matrix.num_cols
+    if n < 2:
+        return
+    h = Haplotype(tuple(data.draw(st.lists(sign, min_size=n, max_size=n))))
+    assert outcome(spectral.infer_memberships, matrix, h) == outcome(
+        ref.infer_memberships, matrix, h
+    )
+
+
+@pytest.fixture(scope="module")
+def frag_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+EDIT_CHARS = "0123456789: \n+-_\tx"
+
+
+@DIFF
+@given(
+    read_matrices(),
+    st.lists(
+        st.tuples(st.floats(0, 1), st.integers(0, 2), st.sampled_from(EDIT_CHARS)), max_size=3
+    ),
+)
+def test_load_fragments_matches_line_parser(frag_dir, matrix, edits):
+    path = frag_dir / "case.frag"
+    ref.save_fragments(matrix, path)
+    written = path.read_bytes()
+    fragio.save_fragments(matrix, path)
+    assert path.read_bytes() == written
+    text = written.decode("ascii")
+    for where, kind, char in edits:  # replace, insert or delete one character
+        at = int(where * len(text))
+        text = text[:at] + (char if kind < 2 else "") + text[at + (kind != 1):]
+    path.write_text(text, encoding="ascii", newline="\n")
+    assert outcome(fragio.load_fragments, path) == outcome(ref.load_fragments, path)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "1: 0:1",  # row index out of order
+        "0: 0:1\n0: 1:0",
+        "0: 12:1",  # column out of range
+        "0: 2:1 1:1",  # descending columns
+        "0: 1:1 1:0",  # duplicate column
+        "0: 1:2",  # bad allele
+        "0: 99999999999999999999999:1",
+        "00: 01:1 2:0",  # leading zeros
+        "+0: +1:1",  # signed integers
+        "0: 1_0:1",
+        "0:\t1:1",
+        "0: 1:1\r",
+        "0: 1:1 ",
+        "0:  1:1",
+        "0 1:1",
+        "0:",
+    ],
+)
+def test_load_fragments_matches_line_parser_on_edge_cases(frag_dir, rows):
+    path = frag_dir / "edge.frag"
+    count = rows.count("\n") + 1
+    path.write_text(f"{fragio.MAGIC}\n{count} 12\n{rows}\n", encoding="ascii", newline="\n")
+    assert outcome(fragio.load_fragments, path) == outcome(ref.load_fragments, path)

@@ -215,6 +215,19 @@ class TestDecode:
                 errs.append(0.5)
         assert np.mean(errs) > 0.1
 
+    def test_low_confidence_gap_is_relative_to_lambda1(self):
+        # one read over all of columns 0..30 and one over 31..60: the
+        # adjacency is K31 + K30 with lambda1 = 30, lambda2 = 29, a gap
+        # above 10 * tol = 0.5 but within 10 * tol * lambda1 = 15
+        rows = (
+            tuple((j, 1) for j in range(31)),
+            tuple((j, 1) for j in range(31, 61)),
+        )
+        result = decode(ReadMatrix(61, rows), SpectralConfig(tolerance=0.05, seed=1))
+        assert result.meta["lambda1"] == pytest.approx(30.0, abs=1.5)
+        assert result.meta["lambda2"] == pytest.approx(29.0, abs=1.5)
+        assert result.meta["low_confidence"]
+
     def test_membership_absent(self, example_8x6):
         _, _, observed = example_8x6
         result = decode(observed, SpectralConfig(seed=0))

@@ -1,0 +1,225 @@
+"""Tuple-of-tuples reference implementations for the differential tests.
+
+These are the row-by-row Python versions of the array code in haplosim:
+a queue-driven seed-propagation walk and a union-find for the erasure
+decoder, dict tallies for the vote adjacency, a per-row sum for membership
+inference, and the line-by-line fragment file codec. They read a
+ReadMatrix only through its `rows`/`entries()` views and are kept as the
+oracle that test_differential.py checks the array versions against.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from itertools import combinations
+from pathlib import Path
+
+from haplosim.fragio import (
+    MAGIC,
+    AlleleError,
+    ColumnOrderError,
+    DimensionError,
+    DuplicateColumnError,
+    FragmentFormatError,
+    HeaderError,
+)
+from haplosim.model import (
+    DISCONNECTED,
+    INCONSISTENT,
+    UNCOVERED_COLUMN,
+    Haplotype,
+    MembershipVector,
+    ReadMatrix,
+    RecoveryResult,
+)
+
+
+class _DisjointSet:
+    """Union-find with path compression over a fixed element range."""
+
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def overlap_components(matrix: ReadMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    m, n = matrix.num_rows, matrix.num_cols
+    ds = _DisjointSet(m + n)
+    for i, j, _ in matrix.entries():
+        ds.union(i, m + j)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i in range(m):
+        groups.setdefault(ds.find(i), ([], []))[0].append(i)
+    for j in range(n):
+        groups.setdefault(ds.find(m + j), ([], []))[1].append(j)
+    components = [(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
+    components.sort(key=lambda rc: (rc[0][0] if rc[0] else m + rc[1][0]))
+    return components
+
+
+def erasure_decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
+    m, n = matrix.num_rows, matrix.num_cols
+    if m == 0:
+        raise ValueError("cannot decode an empty read matrix")
+    for i, row in enumerate(matrix.rows):
+        if not row:
+            raise ValueError(f"row {i} has no observations")
+
+    cols_to_rows: list[list[int]] = [[] for _ in range(n)]
+    for i, j, _ in matrix.entries():
+        cols_to_rows[j].append(i)
+    for j in range(n):
+        if not cols_to_rows[j]:
+            return RecoveryResult(None, None, reason=UNCOVERED_COLUMN, column=j)
+
+    row_value = {i: dict(row) for i, row in enumerate(matrix.rows)}
+    c = [0] * m  # 0 = not yet reached
+    h = [0] * n
+    votes = [0] * n
+    c[0] = 1
+    rows_seen = 1
+    cols_seen = 0
+    queue: deque[tuple[bool, int]] = deque([(True, 0)])
+    while queue:
+        is_row, idx = queue.popleft()
+        if is_row:
+            for j, r in matrix.rows[idx]:
+                implied = c[idx] * r
+                votes[j] += implied
+                if h[j] == 0:
+                    h[j] = implied
+                    cols_seen += 1
+                    queue.append((False, j))
+                elif h[j] != implied and strict:
+                    return RecoveryResult(None, None, reason=INCONSISTENT)
+        else:
+            for i in cols_to_rows[idx]:
+                implied = row_value[i][idx] * h[idx]
+                if c[i] == 0:
+                    c[i] = implied
+                    rows_seen += 1
+                    queue.append((True, i))
+                elif c[i] != implied and strict:
+                    return RecoveryResult(None, None, reason=INCONSISTENT)
+
+    if rows_seen < m or cols_seen < n:
+        return RecoveryResult(None, None, reason=DISCONNECTED)
+
+    if not strict:
+        h = [1 if v >= 0 else -1 for v in votes]
+    estimate = Haplotype(tuple(h))
+    membership = MembershipVector(tuple(c))
+    mismatches = sum(1 for i, j, r in matrix.entries() if c[i] * h[j] != r)
+    return RecoveryResult(estimate, membership, meta={"mismatches": mismatches})
+
+
+def adjacency_tallies(matrix: ReadMatrix, vote_weight=None) -> dict[tuple[int, int], tuple[float, float]]:
+    tallies: dict[tuple[int, int], list[float]] = {}
+    for i, row in enumerate(matrix.rows):
+        for (u, a), (v, b) in combinations(row, 2):
+            weight = 1.0 if vote_weight is None else vote_weight(i, u, v)
+            counts = tallies.setdefault((u, v), [0.0, 0.0])
+            counts[0 if a == b else 1] += weight
+    return {pair: (agree, disagree) for pair, (agree, disagree) in tallies.items()}
+
+
+def infer_memberships(matrix: ReadMatrix, haplotype: Haplotype) -> MembershipVector:
+    if len(haplotype) != matrix.num_cols:
+        raise ValueError(
+            f"haplotype length {len(haplotype)} != matrix columns {matrix.num_cols}"
+        )
+    members = []
+    for row in matrix.rows:
+        agreement = sum(value * haplotype[j] for j, value in row)
+        members.append(1 if agreement >= 0 else -1)
+    return MembershipVector(tuple(members))
+
+
+def save_fragments(matrix: ReadMatrix, path: str | Path) -> None:
+    lines = [MAGIC, f"{matrix.num_rows} {matrix.num_cols}"]
+    for i, row in enumerate(matrix.rows):
+        parts = [f"{i}:"]
+        parts.extend(f"{j}:{1 if a == 1 else 0}" for j, a in row)
+        lines.append(" ".join(parts))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+
+
+def load_fragments(path: str | Path) -> ReadMatrix:
+    text = Path(path).read_text(encoding="ascii")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != MAGIC:
+        raise HeaderError(f"expected header {MAGIC!r}", 1)
+    if len(lines) < 2:
+        raise DimensionError("missing dimension line", 2)
+    dims = lines[1].split(" ")
+    if len(dims) != 2:
+        raise DimensionError(f"expected '<m> <n>', got {lines[1]!r}", 2)
+    try:
+        m, n = int(dims[0]), int(dims[1])
+    except ValueError:
+        raise DimensionError(f"non-integer dimensions {lines[1]!r}", 2) from None
+    if m < 0 or n < 1:
+        raise DimensionError(f"bad dimensions m={m}, n={n}", 2)
+    if len(lines) - 2 != m:
+        raise DimensionError(f"header declares {m} rows but file has {len(lines) - 2}", 2)
+
+    rows: list[tuple[tuple[int, int], ...]] = []
+    for offset, line in enumerate(lines[2:]):
+        lineno = offset + 3
+        tokens = line.split(" ")
+        if not tokens or not tokens[0].endswith(":"):
+            raise FragmentFormatError(f"expected '<row>:' prefix, got {line!r}", lineno)
+        try:
+            row_index = int(tokens[0][:-1])
+        except ValueError:
+            raise FragmentFormatError(f"bad row index {tokens[0]!r}", lineno) from None
+        if row_index != offset:
+            raise FragmentFormatError(
+                f"row indices must ascend from 0; expected {offset}, got {row_index}", lineno
+            )
+        pairs: list[tuple[int, str]] = []
+        prev = -1
+        for token in tokens[1:]:
+            if token == "":
+                raise FragmentFormatError("stray whitespace", lineno)
+            col_str, sep, allele_str = token.partition(":")
+            if not sep:
+                raise FragmentFormatError(f"expected '<col>:<a>', got {token!r}", lineno)
+            try:
+                col = int(col_str)
+            except ValueError:
+                raise FragmentFormatError(f"bad column index {col_str!r}", lineno) from None
+            if not 0 <= col < n:
+                raise ColumnOrderError(f"column {col} out of range [0, {n})", lineno)
+            if col == prev:
+                raise DuplicateColumnError(f"duplicate column {col}", lineno)
+            if col < prev:
+                raise ColumnOrderError(
+                    f"columns must be strictly increasing; {col} after {prev}", lineno
+                )
+            pairs.append((col, allele_str))
+            prev = col
+        entries: list[tuple[int, int]] = []
+        for col, allele_str in pairs:
+            if allele_str == "1":
+                entries.append((col, 1))
+            elif allele_str == "0":
+                entries.append((col, -1))
+            else:
+                raise AlleleError(f"allele must be 0 or 1, got {allele_str!r}", lineno)
+        rows.append(tuple(entries))
+    return ReadMatrix(n, tuple(rows))
