@@ -72,6 +72,9 @@ class NoiseMatrix:
         rows = self.observed.entry_rows()[self.mask]
         return frozenset(zip(rows.tolist(), self.observed.indices[self.mask].tolist()))
 
+    def __contains__(self, pos: tuple[int, int]) -> bool:
+        return pos in self.flips
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NoiseMatrix):
             return NotImplemented

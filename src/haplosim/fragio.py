@@ -16,7 +16,6 @@ then the membership vector.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +67,6 @@ class AlleleError(FragmentFormatError):
     pass
 
 
-_ROW = re.compile(r"\d+:(?: \d+:[01])*")
-
-
 def save_fragments(matrix: ReadMatrix, path: str | Path) -> None:
     tokens = [
         f" {j}:{b}" for j, b in zip(matrix.indices.tolist(), (matrix.values > 0).view(np.int8).tolist())
@@ -103,79 +99,51 @@ def load_fragments(path: str | Path) -> ReadMatrix:
         raise DimensionError(f"bad dimensions m={m}, n={n}", 2)
     if len(lines) - 2 != m:
         raise DimensionError(f"header declares {m} rows but file has {len(lines) - 2}", 2)
-    matrix = _parse_canonical_rows(lines[2:], n)
-    if matrix is None:
-        matrix = ReadMatrix(n, [_parse_row(line, offset, n) for offset, line in enumerate(lines[2:])])
-    return matrix
-
-
-def _parse_canonical_rows(lines: list[str], n: int) -> ReadMatrix | None:
-    """Rows written exactly as save_fragments writes them, parsed with one
-    regex match per line and one numeric pass over all of them.
-
-    Returns None for any other text, including every malformed file, which
-    _parse_row then reports line by line.
-    """
-    if not all(map(_ROW.fullmatch, lines)):
-        return None
-    indptr = np.zeros(len(lines) + 1, dtype=np.int64)
-    np.cumsum([line.count(" ") for line in lines], out=indptr[1:])
-    # each row's label, then a column and an allele per entry: digits and
-    # spaces only, so the parse cannot stop early; numbers past int64
-    # saturate and fail the checks below
-    numbers = np.fromstring(" ".join(lines).replace(":", " "), dtype=np.int64, sep=" ")
-    labels = np.arange(len(lines)) + 2 * indptr[:-1]
-    if numbers.size != len(lines) + 2 * indptr[-1] or np.any(numbers[labels] != np.arange(len(lines))):
-        return None
-    pairs = np.delete(numbers, labels).reshape(-1, 2)
-    try:
-        return ReadMatrix.from_csr(n, indptr, pairs[:, 0], 2 * pairs[:, 1] - 1)
-    except ValueError:  # out-of-range or unordered columns
-        return None
-
-
-def _parse_row(line: str, offset: int, n: int) -> list[tuple[int, int]]:
-    """One row line as (column, allele) pairs, or the FragmentFormatError for it."""
-    lineno = offset + 3
-    tokens = line.split(" ")
-    if not tokens or not tokens[0].endswith(":"):
-        raise FragmentFormatError(f"expected '<row>:' prefix, got {line!r}", lineno)
-    try:
-        row_index = int(tokens[0][:-1])
-    except ValueError:
-        raise FragmentFormatError(f"bad row index {tokens[0]!r}", lineno) from None
-    if row_index != offset:
-        raise FragmentFormatError(
-            f"row indices must ascend from 0; expected {offset}, got {row_index}", lineno
-        )
-    # validate the column structure of the whole line before alleles,
-    # so `2:5 2:1` reports the duplicate rather than the bad allele
-    pairs: list[tuple[int, str]] = []
-    prev = -1
-    for token in tokens[1:]:
-        if token == "":
-            raise FragmentFormatError("stray whitespace", lineno)
-        col_str, sep, allele_str = token.partition(":")
-        if not sep:
-            raise FragmentFormatError(f"expected '<col>:<a>', got {token!r}", lineno)
+    indptr, cols, alleles = [0], [], []
+    for offset, line in enumerate(lines[2:]):
+        lineno = offset + 3
+        tokens = line.split(" ")
+        if not tokens or not tokens[0].endswith(":"):
+            raise FragmentFormatError(f"expected '<row>:' prefix, got {line!r}", lineno)
         try:
-            col = int(col_str)
+            row_index = int(tokens[0][:-1])
         except ValueError:
-            raise FragmentFormatError(f"bad column index {col_str!r}", lineno) from None
-        if not 0 <= col < n:
-            raise ColumnOrderError(f"column {col} out of range [0, {n})", lineno)
-        if col == prev:
-            raise DuplicateColumnError(f"duplicate column {col}", lineno)
-        if col < prev:
-            raise ColumnOrderError(
-                f"columns must be strictly increasing; {col} after {prev}", lineno
+            raise FragmentFormatError(f"bad row index {tokens[0]!r}", lineno) from None
+        if row_index != offset:
+            raise FragmentFormatError(
+                f"row indices must ascend from 0; expected {offset}, got {row_index}", lineno
             )
-        pairs.append((col, allele_str))
-        prev = col
-    for col, allele_str in pairs:
-        if allele_str not in ("0", "1"):
-            raise AlleleError(f"allele must be 0 or 1, got {allele_str!r}", lineno)
-    return [(col, 1 if allele_str == "1" else -1) for col, allele_str in pairs]
+        # validate the column structure of the whole line before alleles,
+        # so `2:5 2:1` reports the duplicate rather than the bad allele
+        pairs: list[tuple[int, str]] = []
+        prev = -1
+        for token in tokens[1:]:
+            if token == "":
+                raise FragmentFormatError("stray whitespace", lineno)
+            col_str, sep, allele_str = token.partition(":")
+            if not sep:
+                raise FragmentFormatError(f"expected '<col>:<a>', got {token!r}", lineno)
+            try:
+                col = int(col_str)
+            except ValueError:
+                raise FragmentFormatError(f"bad column index {col_str!r}", lineno) from None
+            if not 0 <= col < n:
+                raise ColumnOrderError(f"column {col} out of range [0, {n})", lineno)
+            if col == prev:
+                raise DuplicateColumnError(f"duplicate column {col}", lineno)
+            if col < prev:
+                raise ColumnOrderError(
+                    f"columns must be strictly increasing; {col} after {prev}", lineno
+                )
+            pairs.append((col, allele_str))
+            prev = col
+        for col, allele_str in pairs:
+            if allele_str not in ("0", "1"):
+                raise AlleleError(f"allele must be 0 or 1, got {allele_str!r}", lineno)
+            cols.append(col)
+            alleles.append(1 if allele_str == "1" else -1)
+        indptr.append(len(cols))
+    return ReadMatrix.from_csr(n, indptr, cols, alleles)
 
 
 def format_signs(values) -> str:

@@ -8,10 +8,14 @@ the second largest eigenvalue of the 0/1 adjacency.
 
 Eigenpairs come from the implicitly restarted Lanczos method of ARPACK
 (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) through
-scipy.sparse.linalg.eigsh(k=2, which="LA"), started from a vector drawn
-from SpectralConfig.seed and converged well past the residual contract.
-Matrices of size 2, which ARPACK cannot take with k=2, go to a dense
-solver; the zero matrix needs no solve. Cost is O(restarts * ncv * nnz(A)).
+scipy.sparse.linalg.eigsh(k=2, which="LA") on A + shift*I, positive
+definite, started from a vector drawn from SpectralConfig.seed and
+converged well past the residual contract. A repeated lambda1, which one
+Lanczos start vector sees only once, lives on separate connected
+components of a nonnegative matrix and is split off them. Matrices of size
+2 (which ARPACK cannot take with k=2), matrices with negative entries and
+ARPACK breakdowns go to a dense solver; the zero matrix needs no solve.
+Cost is O(restarts * ncv * nnz(A)).
 
 Post-processing, each step accepted only if the residual and orthogonality
 contracts still hold afterwards:
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -53,47 +58,53 @@ __all__ = [
 
 
 class NonConvergedError(RuntimeError):
-    """Eigen iteration exhausted its budget; carries the last residual."""
+    """The eigen solve missed the residual contract.
+
+    `residual` is the largest residual of the returned pairs, inf when
+    ARPACK returned none; `iterations` is the restart budget it ran under.
+    """
 
     def __init__(self, residual: float, iterations: int) -> None:
         super().__init__(
-            f"eigen iteration did not converge after {iterations} iterations "
+            f"eigen solve did not converge within {iterations} restarts "
             f"(residual {residual:.3e})"
         )
         self.residual = residual
         self.iterations = iterations
 
 
-class _PairTallies(Mapping):
-    """Read-only mapping (u, v) -> (agree, disagree) over sorted pair keys u*size+v."""
+class _PairMap(Mapping):
+    """Read-only (u, v) -> row map over sorted pair keys u*size+v.
 
-    def __init__(self, size: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        self._size, self._keys, self._counts = size, keys, counts
+    len() reads the key array, so counting pairs builds no dict.
+    """
+
+    def __init__(self, size: int, keys: np.ndarray, rows: np.ndarray) -> None:
+        self._size, self._keys, self._rows = size, keys, rows
 
     def __len__(self) -> int:
         return self._keys.size
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return (divmod(key, self._size) for key in self._keys.tolist())
+        return iter(self._dict)
 
-    def __getitem__(self, pair) -> tuple[float, float]:
-        u, v = pair
-        key = u * self._size + v
-        index = int(np.searchsorted(self._keys, key))
-        if not (0 <= u < v < self._size and index < self._keys.size and self._keys[index] == key):
-            raise KeyError(pair)
-        agree, disagree = self._counts[index].tolist()
-        return agree, disagree
+    def __getitem__(self, pair: tuple[int, int]) -> tuple[float, ...]:
+        return self._dict[pair]
+
+    @cached_property
+    def _dict(self) -> dict[tuple[int, int], tuple[float, ...]]:
+        us, vs = np.divmod(self._keys, self._size)
+        return dict(zip(zip(us.tolist(), vs.tolist()), map(tuple, self._rows.tolist())))
 
 
 class VoteMatrix:
     """Symmetric 0/1 zero-diagonal adjacency from per-pair majority votes.
 
-    `tallies` maps each co-observed pair (u, v) with u < v to its
-    (agree, disagree) counts; `edges`, the set of linked pairs (a_uv = 1),
-    holds exactly those with agree > disagree, so ties and
-    never-co-observed pairs stay 0. Both are views over sorted arrays of
-    pair keys u*size+v.
+    `keys` holds the sorted pair keys u*size+v (u < v) of every co-observed
+    column pair and `counts` their (agree, disagree) rows; `edge_keys` keeps
+    the linked pairs (a_uv = 1), exactly those with agree > disagree, so
+    ties and never-co-observed pairs stay 0. `tallies` maps (u, v) to its
+    counts and `edges` is the set of linked (u, v), both views of the arrays.
     """
 
     def __init__(self, size: int, tallies: Mapping[tuple[int, int], tuple[float, float]]) -> None:
@@ -116,21 +127,19 @@ class VoteMatrix:
         if size < 1:
             raise ValueError("size must be >= 1")
         linked = counts[:, 0] > counts[:, 1]
-        self.size = size
-        self.tallies = _PairTallies(size, keys, counts)
-        self.edges = _PairTallies(size, keys[linked], counts[linked]).keys()
-        self._edge_keys = keys[linked]
+        self.size, self.keys, self.counts = size, keys, counts
+        self.edge_keys = keys[linked]
+        self.tallies = _PairMap(size, keys, counts)
+        self.edges = _PairMap(size, self.edge_keys, counts[linked]).keys()
 
     def entry(self, u: int, v: int) -> int:
-        if u == v:
-            return 0
-        return 1 if (min(u, v), max(u, v)) in self.edges else 0
+        return int((min(u, v), max(u, v)) in self.edges)
 
     def to_dense(self) -> np.ndarray:
         return self.to_sparse().toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
-        us, vs = np.divmod(self._edge_keys, self.size)
+        us, vs = np.divmod(self.edge_keys, self.size)
         rows = np.concatenate([us, vs])
         cols = np.concatenate([vs, us])
         return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.size, self.size))
@@ -225,9 +234,9 @@ def top_two_eigenpairs(
     <= tolerance * max(1, |lambda_i|), unit norms, and |v1 . v2| <=
     tolerance. The zero matrix yields (0, 0) with an arbitrary orthonormal
     pair. Raises NonConvergedError when ARPACK spends its restart budget
-    (or breaks down) or the returned pair misses the residual contract.
+    or the returned pair misses the residual contract.
     """
-    from scipy.sparse.linalg import ArpackError, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     cfg = config or SpectralConfig()
     a = _as_csr(matrix)
@@ -238,9 +247,16 @@ def top_two_eigenpairs(
     restarts = cfg.max_iterations if cfg.max_iterations is not None else 10 * n
     if a.nnz == 0:
         values, vectors = np.zeros(2), np.eye(n, 2)
-    elif n == 2:
-        values, vectors = np.linalg.eigh(a.toarray())
+    elif n == 2 or a.data.min() < 0:
+        # ARPACK refuses k=2 at n=2; negative entries void the
+        # Perron-Frobenius argument of _split_tied_top
+        values, vectors = _dense_top_two(a)
     else:
+        # ARPACK can skip a wanted eigenvalue that is exactly 0 (K_n minus
+        # an edge loses its lambda2 = 0), so solve a + shift*I, positive
+        # definite since max|a_ij| * (max row nnz) bounds the spectral radius
+        shift = 2.0 * float(a.data.max()) * int(np.diff(a.indptr).max())
+        shifted = LinearOperator(a.shape, matvec=lambda x: a @ x + shift * x, dtype=float)
         v0 = np.random.default_rng(cfg.seed).standard_normal(n)
         try:
             # ncv < n (where k < ncv allows) so one Lanczos pass cannot span
@@ -248,14 +264,18 @@ def top_two_eigenpairs(
             # past the contract so eigenvector dust sits far below the
             # zero-snap threshold
             values, vectors = eigsh(
-                a, k=2, which="LA", v0=v0, ncv=min(n, max(5, n - 1), 20),
+                shifted, k=2, which="LA", v0=v0, ncv=min(n, max(5, n - 1), 20),
                 maxiter=restarts, tol=max(tol * 1e-4, 5e-14),
             )
-        except ArpackError:  # includes ArpackNoConvergence
-            x = v0 / np.linalg.norm(v0)
-            ax = a @ x
-            residual = float(np.linalg.norm(ax - float(x @ ax) * x))
-            raise NonConvergedError(residual=residual, iterations=restarts) from None
+        except ArpackNoConvergence:
+            # ARPACK reports no residual for the Ritz pairs it did not converge
+            raise NonConvergedError(residual=math.inf, iterations=restarts) from None
+        except ArpackError:
+            # a breakdown with no shift to apply (ARPACK info 3), seen on small
+            # graphs with few distinct eigenvalues
+            values, vectors = _dense_top_two(a)
+        else:
+            values, vectors = _split_tied_top(a, values - shift, vectors, tol)
     values, vectors = values[::-1], vectors[:, ::-1]  # ascending -> top two first
     norms = np.linalg.norm(a @ vectors - vectors * values, axis=0)
     if np.any(norms > tol * np.maximum(1.0, np.abs(values))):
@@ -270,6 +290,45 @@ def top_two_eigenpairs(
     if abs(float(v1 @ v2)) > tol:  # pragma: no cover - snap gate keeps this false
         raise NonConvergedError(residual=float(np.max(norms)), iterations=restarts)
     return (lam1, _orient(v1)), (lam2, _orient(v2))
+
+
+def _dense_top_two(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    values, vectors = np.linalg.eigh(a.toarray())
+    return values[-2:], vectors[:, -2:]
+
+
+def _split_tied_top(
+    a: sp.csr_matrix, values: np.ndarray, vectors: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recover a second copy of lambda1 that single-vector Lanczos missed.
+
+    The Krylov space of one start vector holds one direction of a repeated
+    eigenvalue. For a nonnegative matrix lambda1 repeats only across
+    connected components (Perron-Frobenius), and the returned v1 then mixes
+    their Perron vectors; its parts on its two heaviest components replace
+    the pair (ascending order) if both are eigenvectors for lambda1 within
+    the residual contract.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(a, directed=False)
+    if count == 1:
+        return values, vectors
+    top = vectors[:, 1]
+    heavy = np.argsort(np.bincount(labels, weights=top * top))[-2:]
+    parts = np.stack([np.where(labels == c, top, 0.0) for c in heavy], axis=1)
+    norms = np.linalg.norm(parts, axis=0)
+    if norms.min() == 0.0:
+        return values, vectors
+    parts /= norms
+    lams = np.einsum("ij,ij->j", parts, a @ parts)
+    if all(
+        _near_tie(values[1], lam, tol) and _residual_ok(a, lam, parts[:, i], tol)
+        for i, lam in enumerate(lams)
+    ):
+        order = np.argsort(lams)
+        return lams[order], parts[:, order]
+    return values, vectors
 
 
 def _align_degenerate_pair(
@@ -354,7 +413,7 @@ def decode(matrix: ReadMatrix, config: SpectralConfig | None = None) -> Recovery
         "lambda1": lam1,
         "lambda2": lam2,
         "low_confidence": _near_tie(lam1, lam2, cfg.tolerance),
-        "linked_pairs": len(votes.edges),
+        "linked_pairs": int(votes.edge_keys.size),
     }
     return RecoveryResult(estimate, None, meta=meta)
 

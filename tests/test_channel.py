@@ -145,6 +145,14 @@ class TestTransmit:
             expected = c[i] * h[j]
             assert value == (-expected if (i, j) in flipped else expected)
 
+    def test_noise_membership_matches_flips(self):
+        h = Haplotype((1, -1, 1, 1, -1))
+        c = MembershipVector((1,) * 40)
+        observed, noise = transmit(h, c, ChannelConfig(n=5, m=40, p=0.3, seed=8))
+        assert len(noise) > 0
+        for i, j, value in observed.entries():
+            assert ((i, j) in noise) == (value != h[j])
+
     def test_determinism(self):
         cfg = ChannelConfig(n=15, m=60, p=0.2, seed=12345)
         rng = np.random.default_rng(14)

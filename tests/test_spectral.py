@@ -100,6 +100,44 @@ class TestTopTwoEigenpairs:
                 checked_vectors += 1
         assert checked_vectors > 10
 
+    def test_matches_dense_solver_on_hard_graphs(self):
+        # graphs whose lambda2 single-vector Lanczos used to miss: an exact
+        # zero lambda2 (K_n minus an edge, a clique beside isolated columns),
+        # lambda1 repeated on two isomorphic components, and dense random
+        # graphs up to n = 39
+        def clique(n):
+            return np.ones((n, n)) - np.eye(n)
+
+        def blocks(*parts):
+            size = sum(part.shape[0] for part in parts)
+            a, at = np.zeros((size, size)), 0
+            for part in parts:
+                a[at : at + part.shape[0], at : at + part.shape[0]] = part
+                at += part.shape[0]
+            return a
+
+        rng = np.random.default_rng(17)
+        graphs = []
+        for n in (6, 9, 17, 30, 40):
+            minus_edge = clique(n)
+            minus_edge[0, 1] = minus_edge[1, 0] = 0
+            graphs += [minus_edge, blocks(clique(n - 2), np.zeros((2, 2)))]
+        for k in (12, 25, 25, 25, 25, 25, 25, 40):
+            g = random_symmetric_01(rng, k, fill=0.1)
+            perm = rng.permutation(k)
+            graphs.append(blocks(g, g[perm][:, perm], np.zeros((1, 1))))
+        graphs += [
+            random_symmetric_01(rng, int(rng.integers(3, 40)), fill=float(rng.choice([0.05, 0.9])))
+            for _ in range(120)
+        ]
+        for t, a in enumerate(graphs):
+            values = np.sort(np.linalg.eigvalsh(a))[::-1]
+            (lam1, v1), (lam2, v2) = top_two_eigenpairs(a, SpectralConfig(seed=t))
+            assert (lam1, lam2) == pytest.approx(tuple(values[:2]), abs=1e-6)
+            for lam, vec in ((lam1, v1), (lam2, v2)):
+                assert np.linalg.norm(a @ vec - lam * vec) <= 1e-8 * max(1.0, abs(lam))
+            assert abs(v1 @ v2) <= 1e-8
+
     def test_exact_planted_block_matrix(self):
         b = build_matrix(PlantedParams(2, 2, 0.6, 0.2))
         (lam1, _), (lam2, v2) = top_two_eigenpairs(b, SpectralConfig(seed=1))
@@ -139,6 +177,13 @@ class TestTopTwoEigenpairs:
         with pytest.raises(NonConvergedError) as info:
             top_two_eigenpairs(a, SpectralConfig(max_iterations=1, seed=0))
         assert info.value.residual > 0
+
+    def test_non_convergence_reports_budget(self):
+        a = random_symmetric_01(np.random.default_rng(9), 12)
+        with pytest.raises(NonConvergedError) as info:
+            top_two_eigenpairs(a, SpectralConfig(max_iterations=1, seed=0))
+        assert info.value.iterations == 1
+        assert "within 1 restarts" in str(info.value)
 
     def test_close_form_sign_structure_on_random_params(self):
         rng = np.random.default_rng(50)
