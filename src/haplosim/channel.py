@@ -97,13 +97,11 @@ def _draw_columns(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
         first = rng.integers(0, cfg.n, size=cfg.m)
         second = rng.integers(0, cfg.n - 1, size=cfg.m)
         second = second + (second >= first)
-        cols = np.stack([first, second], axis=1)
-    elif cfg.k == cfg.n:
-        cols = np.tile(np.arange(cfg.n), (cfg.m, 1))
-    else:
-        keys = rng.random((cfg.m, cfg.n))
-        cols = np.argpartition(keys, cfg.k, axis=1)[:, : cfg.k]
-    return np.sort(cols, axis=1)
+        return np.stack([np.minimum(first, second), np.maximum(first, second)], axis=1)
+    if cfg.k == cfg.n:
+        return np.tile(np.arange(cfg.n), (cfg.m, 1))
+    keys = rng.random((cfg.m, cfg.n))
+    return np.sort(np.argpartition(keys, cfg.k, axis=1)[:, : cfg.k], axis=1)
 
 
 def sample_mask(cfg: ChannelConfig, rng: np.random.Generator) -> set[tuple[int, int]]:

@@ -48,8 +48,8 @@ def _cmd_simulate(args, parser) -> int:
     root = np.random.SeedSequence(entropy=args.seed, spawn_key=(0,))
     truth_ss, channel_ss = root.spawn(2)
     rng = np.random.Generator(np.random.Philox(truth_ss))
-    h = Haplotype(tuple(rng.integers(0, 2, size=cfg.n) * 2 - 1))
-    c = MembershipVector(tuple(rng.integers(0, 2, size=cfg.m) * 2 - 1))
+    h = Haplotype(rng.integers(0, 2, size=cfg.n) * 2 - 1)
+    c = MembershipVector(rng.integers(0, 2, size=cfg.m) * 2 - 1)
     cfg = channel.ChannelConfig(
         n=cfg.n, m=cfg.m, k=cfg.k, p=cfg.p,
         seed=int(channel_ss.generate_state(1, dtype=np.uint64)[0]),
@@ -100,10 +100,13 @@ def _cmd_decode(args, parser) -> int:
     except ValueError as exc:  # inputs the decoder does not accept
         _say(f"cannot decode {args.input} with --algo {args.algo}: {exc}")
         return EXIT_USAGE
-    if not result.ok:
-        _say(f"FAILURE {result.describe()}")
+    reason = None if result.ok else result.describe()
+    if args.algo == "sp" and result.meta["linked_pairs"] == 0:
+        reason = "NoLinkedPairs"  # no read links two sites, so the split is arbitrary
+    if reason is not None:
+        _say(f"FAILURE {reason}")
         _emit("status", "failure")
-        _emit("reason", result.describe())
+        _emit("reason", reason)
         return EXIT_DECODE_FAILURE
     estimate, membership = result.haplotype, result.membership
     if args.algo == "sp" and args.memberships:

@@ -5,12 +5,14 @@ and SNP values propagate across reads that share observed columns. The
 original formulation repeatedly deletes resolved rows; the propagation here
 is one breadth-first search (scipy.sparse.csgraph) over the read/column
 incidence graph, whose nodes are the reads 0..m-1 followed by the columns
-m..m+n-1. Each node takes the sign of its BFS-tree parent times the entry
-joining them; since every read lists its columns in ascending order and
-every column its reads in ascending order, the tree, and so every first
-implied value, is the one a queue-driven walk would build. The same graph
-gives the connected components. Cost is O(m*k + n) plus a logarithmic
-number of vector passes to push signs down the tree.
+m..m+n-1; its column-to-read half is the CSC transpose of the read
+matrix, a linear-time counting sort in scipy. Each node takes the sign of
+its BFS-tree parent times the entry joining them; since every read lists
+its columns, and the transpose every column its reads, in ascending order,
+the tree, and so every first implied value, is the one a queue-driven walk
+would build. The same graph gives the connected components. Cost is
+O(m*k + n) plus a logarithmic number of vector passes to push signs down
+the tree.
 
 Failure classification: an uncovered column is reported before a
 disconnected split when both hold. On noisy input the walk keeps going by
@@ -42,13 +44,12 @@ def _incidence_graph(matrix: ReadMatrix) -> sp.csr_matrix:
     """Symmetric (m+n)-node read/column graph with ascending neighbour lists,
     each edge weighted by its entry's allele."""
     m, n = matrix.num_rows, matrix.num_cols
-    by_col = np.argsort(matrix.indices, kind="stable")  # rows stay ascending per column
-    col_ptr = np.cumsum(np.bincount(matrix.indices, minlength=n))
+    by_col = sp.csr_matrix((matrix.values, matrix.indices, matrix.indptr), shape=(m, n)).tocsc()
     return sp.csr_matrix(
         (
-            np.concatenate([matrix.values, matrix.values[by_col]]),
-            np.concatenate([matrix.indices + m, matrix.entry_rows()[by_col]]),
-            np.concatenate([matrix.indptr, matrix.indptr[-1] + col_ptr]),
+            np.concatenate([matrix.values, by_col.data]),
+            np.concatenate([matrix.indices + m, by_col.indices]),
+            np.concatenate([matrix.indptr, matrix.indptr[-1] + by_col.indptr[1:]]),
         ),
         shape=(m + n, m + n),
     )
@@ -122,8 +123,4 @@ def decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
         votes = np.bincount(matrix.indices, weights=implied, minlength=n)
         h = np.where(votes >= 0, 1, -1)
     mismatches = int(np.count_nonzero(c[entry_rows] * h[matrix.indices] != matrix.values))
-    return RecoveryResult(
-        Haplotype(tuple(h.tolist())),
-        MembershipVector(tuple(c.tolist())),
-        meta={"mismatches": mismatches},
-    )
+    return RecoveryResult(Haplotype(h), MembershipVector(c), meta={"mismatches": mismatches})

@@ -146,8 +146,8 @@ def _run_trial(
     truth_ss, channel_ss, solver_ss = root.spawn(3)
     truth_rng = np.random.Generator(np.random.Philox(truth_ss))
     m = cell.reads()
-    h = Haplotype(tuple(truth_rng.integers(0, 2, size=cell.n) * 2 - 1))
-    c = MembershipVector(tuple(truth_rng.integers(0, 2, size=m) * 2 - 1))
+    h = Haplotype(truth_rng.integers(0, 2, size=cell.n) * 2 - 1)
+    c = MembershipVector(truth_rng.integers(0, 2, size=m) * 2 - 1)
     channel_seed = int(channel_ss.generate_state(1, dtype=np.uint64)[0])
     solver_seed = int(solver_ss.generate_state(1, dtype=np.uint64)[0])
     observed, _ = transmit(h, c, ChannelConfig(n=cell.n, m=m, k=cell.k, p=cell.p, seed=channel_seed))

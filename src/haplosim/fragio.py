@@ -161,6 +161,6 @@ def load_truth(path: str | Path) -> tuple[Haplotype, MembershipVector]:
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if len(lines) < 2:
         raise ValueError(f"truth file {path} needs two lines (haplotype, membership)")
-    h = Haplotype(tuple(int(tok) for tok in lines[0].split()))
-    c = MembershipVector(tuple(int(tok) for tok in lines[1].split()))
+    h = Haplotype([int(tok) for tok in lines[0].split()])
+    c = MembershipVector([int(tok) for tok in lines[1].split()])
     return h, c

@@ -29,60 +29,65 @@ __all__ = [
 ]
 
 
-def _check_signs(values: tuple[int, ...], what: str) -> None:
-    if not set(values) <= {1, -1}:
-        bad = next(v for v in values if v != 1 and v != -1)
-        raise ValueError(f"{what} entries must be +1 or -1, got {bad!r}")
+class _SignVector:
+    """A read-only int8 array of +/-1 entries, equal and hashed by value.
+
+    Subclasses set `_what` (the entry name in error messages), `_min_len`
+    and `_too_short` (the message for fewer than `_min_len` entries).
+    """
+
+    def __init__(self, values) -> None:
+        raw = np.asarray(values)  # object dtype for ints beyond int64
+        if raw.size < self._min_len:
+            raise ValueError(self._too_short)
+        bad = (raw != 1) & (raw != -1)
+        if bad.any():
+            raise ValueError(
+                f"{self._what} entries must be +1 or -1, got {int(raw[np.argmax(bad)])!r}"
+            )
+        self._array = raw.astype(np.int8)
+        self._array.setflags(write=False)
+
+    @cached_property
+    def _values(self) -> tuple[int, ...]:
+        return tuple(self._array.tolist())
+
+    def __len__(self) -> int:
+        return self._array.size
+
+    def __getitem__(self, index: int) -> int:
+        return self._values[index]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash(self._array.tobytes())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._values!r})"
+
+    def flipped(self):
+        return type(self)(-self._array)
+
+    def to_array(self) -> np.ndarray:
+        return self._array
 
 
-@dataclass(frozen=True)
-class Haplotype:
+class Haplotype(_SignVector):
     """A length-n sequence of +/-1 alleles; the other chromosome carries its negation."""
 
-    alleles: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alleles", tuple(map(int, self.alleles)))
-        if len(self.alleles) < 2:
-            raise ValueError("haplotype needs at least 2 SNP sites")
-        _check_signs(self.alleles, "haplotype")
-
-    def __len__(self) -> int:
-        return len(self.alleles)
-
-    def __getitem__(self, j: int) -> int:
-        return self.alleles[j]
-
-    def flipped(self) -> "Haplotype":
-        return Haplotype(tuple(-a for a in self.alleles))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.alleles, dtype=np.int8)
+    _what, _min_len, _too_short = "haplotype", 2, "haplotype needs at least 2 SNP sites"
+    alleles = property(lambda self: self._values)
 
 
-@dataclass(frozen=True)
-class MembershipVector:
+class MembershipVector(_SignVector):
     """Per-read chromosome labels: +1 if the read was sampled from h, -1 from -h."""
 
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(map(int, self.members)))
-        if len(self.members) < 1:
-            raise ValueError("membership vector needs at least 1 read")
-        _check_signs(self.members, "membership")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, i: int) -> int:
-        return self.members[i]
-
-    def flipped(self) -> "MembershipVector":
-        return MembershipVector(tuple(-c for c in self.members))
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.members, dtype=np.int8)
+    _what, _min_len, _too_short = "membership", 1, "membership vector needs at least 1 read"
+    members = property(lambda self: self._values)
 
 
 class ReadMatrix:
@@ -248,7 +253,7 @@ def hamming_up_to_flip(truth: Haplotype, estimate: Haplotype) -> tuple[int, int]
     """
     if len(truth) != len(estimate):
         raise ValueError(f"length mismatch: {len(truth)} vs {len(estimate)}")
-    d_plus = sum(1 for a, b in zip(truth.alleles, estimate.alleles) if a != b)
+    d_plus = int(np.count_nonzero(truth.to_array() != estimate.to_array()))
     d_minus = len(truth) - d_plus
     if d_plus <= d_minus:
         return d_plus, 1

@@ -395,7 +395,7 @@ def _orient(vec: np.ndarray) -> np.ndarray:
 
 def partition(v2: Sequence[float] | np.ndarray) -> Haplotype:
     """Sign split of the second eigenvector: negative entries become +1."""
-    return Haplotype(tuple(np.where(np.asarray(v2, dtype=float) < 0, 1, -1).tolist()))
+    return Haplotype(np.where(np.asarray(v2, dtype=float) < 0, 1, -1))
 
 
 def decode(matrix: ReadMatrix, config: SpectralConfig | None = None) -> RecoveryResult:
@@ -428,4 +428,4 @@ def infer_memberships(matrix: ReadMatrix, haplotype: Haplotype) -> MembershipVec
         (matrix.values, matrix.indices, matrix.indptr), shape=(matrix.num_rows, matrix.num_cols)
     )
     agreement = reads @ haplotype.to_array().astype(np.int64)
-    return MembershipVector(tuple(np.where(agreement >= 0, 1, -1).tolist()))
+    return MembershipVector(np.where(agreement >= 0, 1, -1))

@@ -41,8 +41,8 @@ def example_8x6():
 def random_instance(n, m, k, p, seed):
     """Deterministic random (h, c, R) draw for property loops."""
     rng = np.random.Generator(np.random.Philox(seed))
-    h = Haplotype(tuple(rng.integers(0, 2, size=n) * 2 - 1))
-    c = MembershipVector(tuple(rng.integers(0, 2, size=m) * 2 - 1))
+    h = Haplotype(rng.integers(0, 2, size=n) * 2 - 1)
+    c = MembershipVector(rng.integers(0, 2, size=m) * 2 - 1)
     observed, _ = transmit(h, c, ChannelConfig(n=n, m=m, k=k, p=p, seed=seed + 0x9E3779B9))
     return h, c, observed
 

@@ -111,6 +111,19 @@ class TestDecode:
         assert "FAILURE DisconnectedComponent" in stderr
         assert parse_kv(stdout)["reason"] == "DisconnectedComponent"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["#haplofrag v1\n0 3\n", "#haplofrag v1\n3 3\n0: 0:1\n1: 1:0\n2: 2:1\n"],
+        ids=["no_reads", "one_entry_per_read"],
+    )
+    def test_spectral_without_linked_pairs_exits_3(self, capsys, tmp_path, text):
+        frag = tmp_path / "unlinked.frag"
+        frag.write_text(text)
+        code, stdout, stderr = run_cli(capsys, "decode", "--algo", "sp", "--in", str(frag))
+        assert code == 3
+        assert "FAILURE NoLinkedPairs" in stderr
+        assert parse_kv(stdout) == {"status": "failure", "reason": "NoLinkedPairs"}
+
     def test_spectral_emits_sign_line(self, capsys, tmp_path):
         frag = tmp_path / "noisy.frag"
         run_cli(

@@ -66,6 +66,18 @@ def test_erasure_decode_matches_walk(matrix, strict):
 
 @DIFF
 @given(read_matrices())
+# uncovered columns 1 and 3, an empty row, and two reads in column 0
+@example(ReadMatrix(4, (((0, 1), (2, -1)), (), ((0, -1),))))
+def test_incidence_graph_matches_argsort_transpose(matrix):
+    graph, expected = erasure._incidence_graph(matrix), ref.incidence_graph(matrix)
+    assert graph.shape == expected.shape
+    assert graph.data.dtype == expected.data.dtype
+    for part in ("indptr", "indices", "data"):
+        assert getattr(graph, part).tolist() == getattr(expected, part).tolist()
+
+
+@DIFF
+@given(read_matrices())
 def test_overlap_components_match_union_find(matrix):
     assert erasure.overlap_components(matrix) == ref.overlap_components(matrix)
 

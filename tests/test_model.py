@@ -33,6 +33,50 @@ class TestTypes:
         with pytest.raises(ValueError):
             MembershipVector(())
 
+    @pytest.mark.parametrize(
+        "cls, values, message",
+        [
+            (Haplotype, (1, 0, -1), "haplotype entries must be +1 or -1, got 0"),
+            (Haplotype, (1, -1, 2), "haplotype entries must be +1 or -1, got 2"),
+            (Haplotype, (1,), "haplotype needs at least 2 SNP sites"),
+            (MembershipVector, (-1, 0), "membership entries must be +1 or -1, got 0"),
+            (MembershipVector, (2, 1), "membership entries must be +1 or -1, got 2"),
+            (MembershipVector, (), "membership vector needs at least 1 read"),
+        ],
+    )
+    def test_sign_vector_error_messages(self, cls, values, message):
+        for given_values in (values, np.array(values, dtype=np.int64)):
+            with pytest.raises(ValueError) as info:
+                cls(given_values)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("cls, view", [(Haplotype, "alleles"), (MembershipVector, "members")])
+    def test_sign_vector_from_tuple_or_array(self, cls, view):
+        values = (1, -1, -1, 1)
+        from_tuple = cls(values)
+        from_array = cls(np.array(values, dtype=np.int64))
+        assert from_tuple == from_array
+        assert hash(from_tuple) == hash(from_array)
+        assert from_tuple != cls((1, -1, -1, -1))
+        assert getattr(from_array, view) == values
+        assert all(type(v) is int for v in getattr(from_array, view))
+        assert type(from_array[1]) is int
+        stored = from_array.to_array()
+        assert stored.dtype == np.int8
+        with pytest.raises(ValueError):
+            stored[0] = -1
+        assert from_array.flipped().flipped() == from_array
+        assert from_array.flipped() == cls(tuple(-v for v in values))
+
+    def test_sign_vector_copies_its_input(self):
+        source = np.array([1, -1, 1], dtype=np.int8)
+        h = Haplotype(source)
+        source[0] = -1
+        assert h.alleles == (1, -1, 1)
+
+    def test_haplotype_never_equals_membership(self):
+        assert Haplotype((1, -1)) != MembershipVector((1, -1))
+
     def test_read_matrix_rejects_unsorted_columns(self):
         with pytest.raises(ValueError):
             ReadMatrix(4, (((2, 1), (1, 1)),))

@@ -6,6 +6,9 @@ decoder, dict tallies for the vote adjacency, a per-row sum for membership
 inference, and the line-by-line fragment file codec. They read a
 ReadMatrix only through its `rows`/`entries()` views and are kept as the
 oracle that test_differential.py checks the array versions against.
+The one array function here, `incidence_graph`, is the stable-argsort
+construction of the erasure decoder's read/column graph, kept as the
+oracle for the CSC-transpose construction that replaced it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 from pathlib import Path
+
+import numpy as np
+import scipy.sparse as sp
 
 from haplosim.fragio import (
     MAGIC,
@@ -67,6 +73,20 @@ def overlap_components(matrix: ReadMatrix) -> list[tuple[tuple[int, ...], tuple[
     components = [(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
     components.sort(key=lambda rc: (rc[0][0] if rc[0] else m + rc[1][0]))
     return components
+
+
+def incidence_graph(matrix: ReadMatrix) -> sp.csr_matrix:
+    m, n = matrix.num_rows, matrix.num_cols
+    by_col = np.argsort(matrix.indices, kind="stable")  # rows stay ascending per column
+    col_ptr = np.cumsum(np.bincount(matrix.indices, minlength=n))
+    return sp.csr_matrix(
+        (
+            np.concatenate([matrix.values, matrix.values[by_col]]),
+            np.concatenate([matrix.indices + m, matrix.entry_rows()[by_col]]),
+            np.concatenate([matrix.indptr, matrix.indptr[-1] + col_ptr]),
+        ),
+        shape=(m + n, m + n),
+    )
 
 
 def erasure_decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
