@@ -3,22 +3,17 @@ spectral partitioning, and the matching closed-form analysis."""
 
 from .channel import (
     ChannelConfig,
-    NoiseMatrix,
     prob_disconnected_split,
     prob_uncovered_column,
-    sample_mask,
     transmit,
 )
-from .erasure import overlap_components
 from .erasure import decode as erasure_decode
 from .model import (
     Haplotype,
     MembershipVector,
     ReadMatrix,
     RecoveryResult,
-    encode,
     hamming_up_to_flip,
-    project,
 )
 from .planted import (
     PlantedParams,
@@ -46,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelConfig",
-    "NoiseMatrix",
     "Haplotype",
     "MembershipVector",
     "ReadMatrix",
@@ -56,15 +50,11 @@ __all__ = [
     "SpectralConfig",
     "VoteMatrix",
     "NonConvergedError",
-    "encode",
-    "project",
     "hamming_up_to_flip",
-    "sample_mask",
     "transmit",
     "prob_uncovered_column",
     "prob_disconnected_split",
     "erasure_decode",
-    "overlap_components",
     "build_adjacency",
     "top_two_eigenpairs",
     "partition",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +24,7 @@ from .planted import _log_comb
 
 __all__ = [
     "ChannelConfig",
-    "NoiseMatrix",
     "make_rng",
-    "sample_mask",
     "transmit",
     "prob_uncovered_column",
     "prob_disconnected_split",
@@ -55,32 +52,6 @@ class ChannelConfig:
             raise ValueError(f"p must be in [0, 0.5], got {self.p}")
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseMatrix:
-    """Which observations of `observed` had their sign inverted: `mask[e]`
-    is set for stored entry e (storage order)."""
-
-    observed: ReadMatrix
-    mask: np.ndarray
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    @cached_property
-    def flips(self) -> frozenset[tuple[int, int]]:
-        """The flipped (row, col) positions."""
-        rows = self.observed.entry_rows()[self.mask]
-        return frozenset(zip(rows.tolist(), self.observed.indices[self.mask].tolist()))
-
-    def __contains__(self, pos: tuple[int, int]) -> bool:
-        return pos in self.flips
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NoiseMatrix):
-            return NotImplemented
-        return self.observed == other.observed and np.array_equal(self.mask, other.mask)
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """The pinned channel generator for a 64-bit seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -104,21 +75,15 @@ def _draw_columns(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
     return np.sort(np.argpartition(keys, cfg.k, axis=1)[:, : cfg.k], axis=1)
 
 
-def sample_mask(cfg: ChannelConfig, rng: np.random.Generator) -> set[tuple[int, int]]:
-    """Draw the surviving positions: k distinct uniform columns per row."""
-    cols = _draw_columns(cfg, rng)
-    return {(i, int(j)) for i in range(cfg.m) for j in cols[i]}
-
-
 def transmit(
     h: Haplotype, c: MembershipVector, cfg: ChannelConfig
-) -> tuple[ReadMatrix, NoiseMatrix]:
+) -> tuple[ReadMatrix, np.ndarray]:
     """Push the rank-1 source through the channel.
 
-    Returns the observed matrix and the mask of its flipped entries.
-    Deterministic given cfg.seed, with the mask drawn exactly as
-    sample_mask draws it. Flip decisions use one uniform per stored entry,
-    so memory stays O(m*k) even for large n.
+    Returns the observed matrix and a boolean mask over its stored entries,
+    in storage order (m*k of them), set where the sign was flipped.
+    Deterministic given cfg.seed. Flip decisions use one uniform per stored
+    entry, so memory stays O(m*k) even for large n.
     """
     if len(h) != cfg.n or len(c) != cfg.m:
         raise ValueError(
@@ -134,8 +99,7 @@ def transmit(
     else:
         flipped = np.zeros((cfg.m, cfg.k), dtype=bool)
     indptr = np.arange(0, cfg.m * cfg.k + 1, cfg.k)
-    observed = ReadMatrix.from_csr(cfg.n, indptr, cols.ravel(), values.ravel())
-    return observed, NoiseMatrix(observed, flipped.ravel())
+    return ReadMatrix(cfg.n, indptr, cols.ravel(), values.ravel()), flipped.ravel()
 
 
 def _log_sum_exp(terms: list[float]) -> float:

@@ -6,8 +6,8 @@ decoder on a fragment file), analyze (closed-form quantities), experiment
 
 Standard out carries machine-parseable `key=value` lines only; prose goes
 to standard error. Exit codes: 0 success (exact when --truth is given),
-1 decoded but not exact, 2 usage or parse error, 3 decoding failure,
-4 eigen non-convergence.
+1 decoded but not exact, 2 usage or parse error (or out of memory),
+3 decoding failure, 4 eigen non-convergence.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _cmd_simulate(args, parser) -> int:
         n=cfg.n, m=cfg.m, k=cfg.k, p=cfg.p,
         seed=int(channel_ss.generate_state(1, dtype=np.uint64)[0]),
     )
-    observed, noise = channel.transmit(h, c, cfg)
+    observed, flipped = channel.transmit(h, c, cfg)
     fragio.save_fragments(observed, args.out)
     if args.truth:
         fragio.save_truth(h, c, args.truth)
@@ -62,7 +62,7 @@ def _cmd_simulate(args, parser) -> int:
     _emit("m", cfg.m)
     _emit("k", cfg.k)
     _emit("p", cfg.p)
-    _emit("flips", len(noise))
+    _emit("flips", np.count_nonzero(flipped))
     _emit("out", args.out)
     if args.truth:
         _emit("truth", args.truth)
@@ -271,13 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args, parser)
-    if args.command == "decode":
-        return _cmd_decode(args, parser)
-    if args.command == "analyze":
-        return _cmd_analyze(args, parser)
-    return _cmd_experiment(args, parser)
+    try:
+        if args.command == "simulate":
+            return _cmd_simulate(args, parser)
+        if args.command == "decode":
+            return _cmd_decode(args, parser)
+        if args.command == "analyze":
+            return _cmd_analyze(args, parser)
+        return _cmd_experiment(args, parser)
+    except MemoryError:
+        _say(f"{args.command}: out of memory; the input is too large for this machine")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,9 +10,8 @@ matrix, a linear-time counting sort in scipy. Each node takes the sign of
 its BFS-tree parent times the entry joining them; since every read lists
 its columns, and the transpose every column its reads, in ascending order,
 the tree, and so every first implied value, is the one a queue-driven walk
-would build. The same graph gives the connected components. Cost is
-O(m*k + n) plus a logarithmic number of vector passes to push signs down
-the tree.
+would build. Cost is O(m*k + n) plus a logarithmic number of vector
+passes to push signs down the tree.
 
 Failure classification: an uncovered column is reported before a
 disconnected split when both hold. On noisy input the walk keeps going by
@@ -37,7 +36,7 @@ from .model import (
     RecoveryResult,
 )
 
-__all__ = ["decode", "overlap_components"]
+__all__ = ["decode"]
 
 
 def _incidence_graph(matrix: ReadMatrix) -> sp.csr_matrix:
@@ -53,24 +52,6 @@ def _incidence_graph(matrix: ReadMatrix) -> sp.csr_matrix:
         ),
         shape=(m + n, m + n),
     )
-
-
-def overlap_components(matrix: ReadMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Connected components of the read/column incidence structure.
-
-    Two reads are connected iff they share an observed column. Returns one
-    (row_indices, col_indices) pair per component, both sorted; columns with
-    no observations form singleton components with an empty row tuple.
-    Components are ordered by their smallest member (rows first).
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    m = matrix.num_rows
-    _count, labels = connected_components(_incidence_graph(matrix), directed=False)
-    # labels number the components in order of their smallest node; a
-    # stable sort keeps each component's nodes ascending
-    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    return [(tuple(g[g < m].tolist()), tuple((g[g >= m] - m).tolist())) for g in groups]
 
 
 def decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:

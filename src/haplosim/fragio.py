@@ -143,7 +143,7 @@ def load_fragments(path: str | Path) -> ReadMatrix:
             cols.append(col)
             alleles.append(1 if allele_str == "1" else -1)
         indptr.append(len(cols))
-    return ReadMatrix.from_csr(n, indptr, cols, alleles)
+    return ReadMatrix(n, indptr, cols, alleles)
 
 
 def format_signs(values) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -23,10 +22,10 @@ __all__ = [
     "DISCONNECTED",
     "INCONSISTENT",
     "NON_CONVERGED",
-    "encode",
-    "project",
     "hamming_up_to_flip",
 ]
+
+_MAX_COLS = 2**31  # column indices are stored as int32
 
 
 class _SignVector:
@@ -95,26 +94,15 @@ class ReadMatrix:
 
     Row i stores entries indptr[i]:indptr[i+1] of `indices` (0-based
     columns, strictly increasing within the row, int32) and `values`
-    (alleles +1/-1, int8). A position absent from its row is erased.
-    Build one from per-row (column, allele) tuples, or from the arrays with
-    `from_csr`; `rows` and `entries()` are views built on demand.
+    (alleles +1/-1, int8). A position absent from its row is erased. The
+    arrays are validated, copied to those dtypes and made read-only; a
+    num_cols whose column indices would not fit int32 is rejected before
+    any array is built.
     """
 
-    def __init__(self, num_cols: int, rows: Iterable[Iterable[tuple[int, int]]] = ()) -> None:
-        rows = [tuple(row) for row in rows]
-        flat = np.array([entry for row in rows for entry in row], dtype=np.int64).reshape(-1, 2)
-        self._assign(num_cols, np.cumsum([0] + [len(row) for row in rows]), flat[:, 0], flat[:, 1])
-
-    @classmethod
-    def from_csr(cls, num_cols: int, indptr, indices, values) -> "ReadMatrix":
-        """Wrap CSR arrays, with the same validation as the row constructor."""
-        matrix = cls.__new__(cls)
-        matrix._assign(num_cols, indptr, indices, values)
-        return matrix
-
-    def _assign(self, num_cols: int, indptr, indices, values) -> None:
-        if num_cols < 1:
-            raise ValueError("num_cols must be >= 1")
+    def __init__(self, num_cols: int, indptr, indices, values) -> None:
+        if not 1 <= num_cols <= _MAX_COLS:
+            raise ValueError(f"num_cols must be in [1, {_MAX_COLS}], got {num_cols}")
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
@@ -149,39 +137,16 @@ class ReadMatrix:
         )
 
     def __repr__(self) -> str:
-        return f"ReadMatrix({self.num_cols}, {self.rows!r})"
+        arrays = (self.indptr, self.indices, self.values)
+        return f"ReadMatrix({self.num_cols}, " + ", ".join(str(a.tolist()) for a in arrays) + ")"
 
     @property
     def num_rows(self) -> int:
         return self.indptr.size - 1
 
-    def num_entries(self) -> int:
-        return self.indices.size
-
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, in storage order."""
         return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-row tuples of (column, allele) pairs."""
-        cols, vals, bounds = self.indices.tolist(), self.values.tolist(), self.indptr.tolist()
-        return tuple(
-            tuple(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])
-        )
-
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (row, column, allele) for every stored observation."""
-        return zip(self.entry_rows().tolist(), self.indices.tolist(), self.values.tolist())
-
-    def to_dense(self, fill: int = 0) -> np.ndarray:
-        """Dense int8 copy with `fill` at erased positions."""
-        out = np.full((self.num_rows, self.num_cols), fill, dtype=np.int8)
-        out[self.entry_rows(), self.indices] = self.values
-        return out
-
-    def negated(self) -> "ReadMatrix":
-        return ReadMatrix.from_csr(self.num_cols, self.indptr, self.indices, -self.values)
 
 
 # Failure reasons carried by RecoveryResult.
@@ -222,26 +187,6 @@ class RecoveryResult:
         if self.reason == NON_CONVERGED:
             return "NonConverged"
         return self.reason
-
-
-def encode(h: Haplotype, c: MembershipVector) -> np.ndarray:
-    """Rank-1 source matrix: entry (i, j) is c_i * h_j."""
-    return np.outer(c.to_array(), h.to_array()).astype(np.int8)
-
-
-def project(dense: np.ndarray, mask: Iterable[tuple[int, int]]) -> ReadMatrix:
-    """Keep only the masked positions of a dense +/-1 matrix.
-
-    Raises ValueError for out-of-bounds mask positions.
-    """
-    dense = np.asarray(dense)
-    m, n = dense.shape
-    per_row: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for i, j in mask:
-        if not (0 <= i < m and 0 <= j < n):
-            raise ValueError(f"mask position ({i}, {j}) outside {m}x{n} matrix")
-        per_row[i].append((j, int(dense[i, j])))
-    return ReadMatrix(n, tuple(tuple(sorted(row)) for row in per_row))
 
 
 def hamming_up_to_flip(truth: Haplotype, estimate: Haplotype) -> tuple[int, int]:

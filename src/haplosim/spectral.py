@@ -38,7 +38,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,30 +100,15 @@ class _PairMap(Mapping):
 class VoteMatrix:
     """Symmetric 0/1 zero-diagonal adjacency from per-pair majority votes.
 
-    `keys` holds the sorted pair keys u*size+v (u < v) of every co-observed
-    column pair and `counts` their (agree, disagree) rows; `edge_keys` keeps
-    the linked pairs (a_uv = 1), exactly those with agree > disagree, so
-    ties and never-co-observed pairs stay 0. `tallies` maps (u, v) to its
-    counts and `edges` is the set of linked (u, v), both views of the arrays.
+    `keys` holds the sorted, distinct pair keys u*size+v (u < v) of every
+    co-observed column pair and `counts` their (agree, disagree) rows;
+    `edge_keys` keeps the linked pairs (a_uv = 1), exactly those with
+    agree > disagree, so ties and never-co-observed pairs stay 0. `tallies`
+    maps (u, v) to its counts and `edges` is the set of linked (u, v), both
+    views of the arrays.
     """
 
-    def __init__(self, size: int, tallies: Mapping[tuple[int, int], tuple[float, float]]) -> None:
-        for (u, v) in tallies:
-            if not 0 <= u < v < size:
-                raise ValueError(f"bad pair ({u}, {v}) for size {size}")
-        keys = np.array([u * size + v for u, v in tallies], dtype=np.int64)
-        counts = np.array(list(tallies.values()), dtype=float).reshape(-1, 2)
-        order = np.argsort(keys)
-        self._assign(size, keys[order], counts[order])
-
-    @classmethod
-    def from_counts(cls, size: int, keys: np.ndarray, counts: np.ndarray) -> "VoteMatrix":
-        """Wrap (agree, disagree) rows for the sorted, distinct pair keys u*size+v, u < v."""
-        votes = cls.__new__(cls)
-        votes._assign(size, keys, counts)
-        return votes
-
-    def _assign(self, size: int, keys: np.ndarray, counts: np.ndarray) -> None:
+    def __init__(self, size: int, keys: np.ndarray, counts: np.ndarray) -> None:
         if size < 1:
             raise ValueError("size must be >= 1")
         linked = counts[:, 0] > counts[:, 1]
@@ -131,12 +116,6 @@ class VoteMatrix:
         self.edge_keys = keys[linked]
         self.tallies = _PairMap(size, keys, counts)
         self.edges = _PairMap(size, self.edge_keys, counts[linked]).keys()
-
-    def entry(self, u: int, v: int) -> int:
-        return int((min(u, v), max(u, v)) in self.edges)
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_sparse().toarray()
 
     def to_sparse(self) -> sp.csr_matrix:
         us, vs = np.divmod(self.edge_keys, self.size)
@@ -162,9 +141,6 @@ class SpectralConfig:
             raise ValueError("tolerance must be positive")
 
 
-VoteWeight = Callable[[int, int, int], float]
-
-
 def _row_pairs(matrix: ReadMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Entry indices (first, second) of every within-row pair, row by row
     in itertools.combinations order."""
@@ -177,31 +153,19 @@ def _row_pairs(matrix: ReadMatrix) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def build_adjacency(matrix: ReadMatrix, vote_weight: VoteWeight | None = None) -> VoteMatrix:
-    """Tally agreements per co-observed column pair and keep majority winners.
-
-    vote_weight(row, u, v), when given, scales that read's vote on the pair;
-    the default is uniform weight 1, the uniform-prior majority vote.
-    """
+def build_adjacency(matrix: ReadMatrix) -> VoteMatrix:
+    """Tally agreements per co-observed column pair and keep majority winners:
+    every read casts one vote on each pair of columns it observes."""
     n = matrix.num_cols
     first, second = _row_pairs(matrix)
     us = matrix.indices[first].astype(np.int64)
     vs = matrix.indices[second].astype(np.int64)
     agree = matrix.values[first] == matrix.values[second]
-    if vote_weight is None:
-        weights = np.ones(first.size)
-    else:
-        reads = matrix.entry_rows()[first].tolist()
-        weights = np.array(
-            [vote_weight(i, u, v) for i, u, v in zip(reads, us.tolist(), vs.tolist())],
-            dtype=float,
-        )
     keys, pair_of = np.unique(us * n + vs, return_inverse=True)
     counts = [
-        np.bincount(pair_of, weights=np.where(agree == side, weights, 0.0), minlength=keys.size)
-        for side in (True, False)
+        np.bincount(pair_of, weights=agree == side, minlength=keys.size) for side in (True, False)
     ]
-    return VoteMatrix.from_counts(n, keys, np.stack(counts, axis=1))
+    return VoteMatrix(n, keys, np.stack(counts, axis=1))
 
 
 def _as_csr(matrix) -> sp.csr_matrix:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -6,12 +7,12 @@ import time
 import numpy as np
 import pytest
 
+import tuple_reference as ref
 from haplosim.channel import ChannelConfig, transmit
 from haplosim.erasure import decode as ed_decode
-from haplosim.erasure import overlap_components
 from haplosim.experiments import Cell, ExperimentConfig, run
 from haplosim.fragio import load_fragments, save_fragments
-from haplosim.model import Haplotype, MembershipVector, ReadMatrix, encode, project
+from haplosim.model import Haplotype, MembershipVector
 from haplosim.spectral import build_adjacency
 
 # Observed positions of the 8x6 instance with known ground truth
@@ -35,7 +36,7 @@ def example_8x6():
     """(h, c, R): the 6-site, 8-read worked instance."""
     h = Haplotype((1, 1, -1, 1, -1, -1))
     c = MembershipVector((1, 1, 1, 1, -1, -1, -1, -1))
-    return h, c, project(encode(h, c), EXAMPLE_MASK)
+    return h, c, ref.project(ref.encode(h, c), EXAMPLE_MASK)
 
 
 def random_instance(n, m, k, p, seed):
@@ -53,9 +54,17 @@ def random_instance(n, m, k, p, seed):
 # ---------------------------------------------------------------------------
 
 
+_CASE_NUMBERS = itertools.count()
+
+
+def new_path(directory, name):
+    """A path no earlier call returned: on ext4, rewriting an existing file
+    costs tens of milliseconds per write, creating a new one almost nothing."""
+    return directory / f"{next(_CASE_NUMBERS)}-{name}"
+
+
 def check_fragio_roundtrip(count, tmp_path, seed=20240801):
     rng = np.random.Generator(np.random.Philox(seed))
-    path = tmp_path / "roundtrip.frag"
     for t in range(count):
         n = int(rng.integers(2, 14))
         m = int(rng.integers(1, 12))
@@ -64,7 +73,8 @@ def check_fragio_roundtrip(count, tmp_path, seed=20240801):
             width = int(rng.integers(0, n + 1))
             cols = sorted(rng.choice(n, size=width, replace=False).tolist())
             rows.append(tuple((int(j), int(rng.integers(0, 2)) * 2 - 1) for j in cols))
-        matrix = ReadMatrix(n, tuple(rows))
+        matrix = ref.read_matrix(n, tuple(rows))
+        path = new_path(tmp_path, "roundtrip.frag")
         save_fragments(matrix, path)
         again = load_fragments(path)
         assert again == matrix, f"round-trip mismatch at case {t}"
@@ -78,7 +88,7 @@ def check_decode_matches_components(count, seed=987):
         n = int(rng.integers(3, 16))
         m = int(rng.integers(1, 4 * n))
         _, _, observed = random_instance(n, m, 2, 0.0, seed=int(rng.integers(0, 2**31)))
-        components = overlap_components(observed)
+        components = ref.overlap_components(observed)
         expect_ok = len(components) == 1 and len(components[0][1]) == n
         result = ed_decode(observed)
         assert result.ok == expect_ok, (
@@ -94,19 +104,19 @@ def check_adjacency_equivariance(count, seed=555):
         m = int(rng.integers(3, 40))
         _, _, observed = random_instance(n, m, 2, 0.2, seed=int(rng.integers(0, 2**31)))
         perm = rng.permutation(n)
-        relabeled = ReadMatrix(
+        relabeled = ref.read_matrix(
             n,
             tuple(
-                tuple(sorted((int(perm[j]), a) for j, a in row)) for row in observed.rows
+                tuple(sorted((int(perm[j]), a) for j, a in row)) for row in ref.rows(observed)
             ),
         )
         base = build_adjacency(observed)
         moved = build_adjacency(relabeled)
         for u in range(n):
             for v in range(u + 1, n):
-                assert moved.entry(int(perm[u]), int(perm[v])) == base.entry(u, v), (
-                    f"case {t}: pair ({u}, {v}) not equivariant"
-                )
+                assert ref.vote_entry(moved, int(perm[u]), int(perm[v])) == ref.vote_entry(
+                    base, u, v
+                ), f"case {t}: pair ({u}, {v}) not equivariant"
 
 
 # ---------------------------------------------------------------------------

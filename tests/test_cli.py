@@ -1,11 +1,16 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import tuple_reference as ref
+from haplosim import erasure, spectral
 from haplosim.cli import main
-from haplosim.fragio import load_fragments, save_fragments, save_truth
-from haplosim.model import ReadMatrix
+from haplosim.fragio import MAGIC, load_fragments, save_fragments, save_truth
 
 
 def run_cli(capsys, *argv):
@@ -36,7 +41,7 @@ class TestSimulate:
         assert code == 0
         matrix = load_fragments(out)
         assert matrix.num_rows == 8 and matrix.num_cols == 6
-        assert all(len(row) == 2 for row in matrix.rows)
+        assert all(len(row) == 2 for row in ref.rows(matrix))
         assert parse_kv(stdout)["m"] == "8"
 
     def test_same_flags_same_bytes(self, capsys, tmp_path):
@@ -104,7 +109,7 @@ class TestDecode:
     def test_disconnected_instance_exits_3(self, capsys, tmp_path):
         frag = tmp_path / "split.frag"
         save_fragments(
-            ReadMatrix(4, (((0, 1), (1, 1)), ((2, 1), (3, -1)))), frag
+            ref.read_matrix(4, (((0, 1), (1, 1)), ((2, 1), (3, -1)))), frag
         )
         code, stdout, stderr = run_cli(capsys, "decode", "--algo", "ed", "--in", str(frag))
         assert code == 3
@@ -213,6 +218,83 @@ class TestDecodeRejectsInputs:
 
     def test_sp_on_one_site(self, capsys, tmp_path):
         self.rejected(capsys, tmp_path, "#haplofrag v1\n2 1\n0: 0:1\n1: 0:0\n", "--algo", "sp")
+
+    @pytest.mark.parametrize("algo", ["ed", "sp"])
+    def test_columns_beyond_int32(self, capsys, tmp_path, algo):
+        # int32 column indices would wrap 4294967301 and 4294967302 to 5 and 6
+        text = "#haplofrag v1\n1 8589934592\n0: 4294967301:1 4294967302:0\n"
+        stderr = self.rejected(capsys, tmp_path, text, "--algo", algo)
+        assert "num_cols must be in [1, 2147483648]" in stderr
+
+    @pytest.mark.parametrize("algo, decoder", [("ed", erasure), ("sp", spectral)], ids=["ed", "sp"])
+    def test_out_of_memory(self, capsys, tmp_path, monkeypatch, algo, decoder):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(decoder, "decode", exhausted)
+        stderr = self.rejected(capsys, tmp_path, "#haplofrag v1\n1 2\n0: 0:1 1:1\n", "--algo", algo)
+        assert "out of memory" in stderr
+
+
+@st.composite
+def decode_inputs(draw):
+    """(fragment bytes, truth bytes or None, flags): a small matrix whose header may
+    misstate m or n (n stays below a few thousand, so no decode allocates much)
+    and whose rows take up to three character edits, non-ASCII ones included."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(0, 10))
+    cols = st.sets(st.integers(0, n - 1), min_size=draw(st.integers(0, 1)))
+    rows = "".join(
+        " ".join([f"{i}:"] + [f"{j}:{draw(st.sampled_from('01'))}" for j in sorted(draw(cols))])
+        + "\n"
+        for i in range(m)
+    )
+    edit = st.tuples(st.floats(0, 1), st.integers(0, 2), st.sampled_from("01: \n-x\xe9"))
+    for where, kind, char in draw(st.lists(edit, max_size=3)):
+        at = int(where * len(rows))
+        rows = rows[:at] + (char if kind < 2 else "") + rows[at + (kind != 1):]
+    header_m = draw(st.sampled_from([m, m, m, m + 1, -1]))
+    header_n = draw(st.sampled_from([n, n, n, n - 1, -2, 3000]))
+    frag = f"{MAGIC}\n{header_m} {header_n}\n{rows}".encode("utf-8")
+    truth = None
+    if draw(st.booleans()):
+        sign = st.sampled_from(["+1", "-1"])
+        lengths = [draw(st.sampled_from([size, size, size + 1, 0])) for size in (n, m)]
+        lines = [" ".join(draw(st.lists(sign, min_size=k, max_size=k))) for k in lengths]
+        truth = "\n".join(lines).encode("ascii")
+    algo = draw(st.sampled_from([["--algo", "ed"], ["--algo", "ed", "--strict"], ["--algo", "sp"]]))
+    return frag, truth, algo + draw(st.sampled_from([[], ["--memberships"]]))
+
+
+ED, SP = ["--algo", "ed"], ["--algo", "sp"]
+BEYOND_INT32 = b"#haplofrag v1\n1 8589934592\n0: 4294967301:1 4294967302:0\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(decode_inputs())
+@example((BEYOND_INT32, None, ED))
+@example((BEYOND_INT32, None, SP))
+@example((b"#haplofrag v1\n0 3\n", None, SP))  # m = 0
+@example((b"#haplofrag v1\n3 3\n0: 0:1\n1: 1:0\n2: 2:1\n", None, SP))  # one entry per read
+@example(("#haplofrag v1\n1 2\n0: 0:1 1:\u00e9\n".encode("utf-8"), None, ED))  # non-ASCII
+@example((b"#haplofrag v1\n1 2\n0: 0:1 1:1\n", "+1 \u00e9\n+1\n".encode("utf-8"), ED))
+@example((b"#haplofrag v1\n-1 3\n", None, SP))  # negative dimensions
+@example((b"#haplofrag v1\n1 -3\n0:\n", None, ED))
+@example((b"#haplofrag v1\n5 3\n0: 0:1 1:1\n", None, ED))  # header m != number of rows
+def test_decode_fuzz_exits_with_a_code_and_key_value_stdout(tmp_path_factory, case):
+    frag_bytes, truth_bytes, flags = case
+    case_dir = tmp_path_factory.mktemp("fuzz")  # new files for every example
+    (case_dir / "in.frag").write_bytes(frag_bytes)
+    argv = ["decode", "--in", str(case_dir / "in.frag"), *flags]
+    if truth_bytes is not None:
+        (case_dir / "in.truth").write_bytes(truth_bytes)
+        argv += ["--truth", str(case_dir / "in.truth")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in range(5)
+    for line in out.getvalue().splitlines():
+        key, sep, _ = line.partition("=")
+        assert sep and key.isidentifier(), line
 
 
 class TestAnalyze:

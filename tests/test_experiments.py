@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tuple_reference as ref
 from conftest import check_fragio_roundtrip
 from haplosim.experiments import (
     Cell,
@@ -24,7 +25,6 @@ from haplosim.fragio import (
     load_fragments,
     save_fragments,
 )
-from haplosim.model import ReadMatrix
 
 
 class TestCell:
@@ -153,9 +153,15 @@ class TestFragmentFiles:
         assert load_fragments(path) == observed
 
     def test_exact_bytes_of_small_matrix(self, tmp_path):
-        matrix = ReadMatrix(3, (((0, 1), (2, -1)), ()))
+        matrix = ref.read_matrix(3, (((0, 1), (2, -1)), ()))
         path = tmp_path / "tiny.frag"
         save_fragments(matrix, path)
+        assert path.read_bytes() == b"#haplofrag v1\n2 3\n0: 0:1 2:0\n1:\n"
+
+    def test_save_over_a_longer_file_leaves_only_the_new_bytes(self, tmp_path):
+        path = tmp_path / "reused.frag"
+        path.write_text("#haplofrag v1\n3 9\n0: 0:1 8:0\n1: 4:1\n2:\n" + "#" * 500)
+        save_fragments(ref.read_matrix(3, (((0, 1), (2, -1)), ())), path)
         assert path.read_bytes() == b"#haplofrag v1\n2 3\n0: 0:1 2:0\n1:\n"
 
     def test_many_random_round_trips(self, tmp_path):

@@ -1,14 +1,14 @@
-"""Tuple-of-tuples reference implementations for the differential tests.
+"""Tuple-side oracles for the array code in haplosim.
 
-These are the row-by-row Python versions of the array code in haplosim:
-a queue-driven seed-propagation walk and a union-find for the erasure
-decoder, dict tallies for the vote adjacency, a per-row sum for membership
-inference, and the line-by-line fragment file codec. They read a
-ReadMatrix only through its `rows`/`entries()` views and are kept as the
-oracle that test_differential.py checks the array versions against.
-The one array function here, `incidence_graph`, is the stable-argsort
-construction of the erasure decoder's read/column graph, kept as the
-oracle for the CSC-transpose construction that replaced it.
+`read_matrix` builds a ReadMatrix from per-row (column, allele) tuples
+through its one constructor; `rows`, `entries` and `dense` read it back.
+On them sit the row-by-row Python versions of the array code: `encode` and
+`project` for the masked rank-1 source, `sample_mask` for the channel's
+positions, a queue-driven walk and a union-find for the erasure decoder,
+dict tallies for the vote adjacency, a per-row sum for membership
+inference, and the line-by-line fragment file codec. `incidence_graph` is
+the stable-argsort construction of the erasure decoder's read/column
+graph, the oracle for the CSC transpose that replaced it.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
+from haplosim.channel import ChannelConfig, _draw_columns
 from haplosim.fragio import (
     MAGIC,
     AlleleError,
@@ -38,6 +40,65 @@ from haplosim.model import (
     ReadMatrix,
     RecoveryResult,
 )
+from haplosim.spectral import VoteMatrix
+
+
+def read_matrix(num_cols: int, per_row: Iterable[Iterable[tuple[int, int]]] = ()) -> ReadMatrix:
+    """ReadMatrix from per-row (column, allele) tuples."""
+    per_row = [tuple(row) for row in per_row]
+    flat = np.array([entry for row in per_row for entry in row], dtype=np.int64).reshape(-1, 2)
+    indptr = np.cumsum([0] + [len(row) for row in per_row])
+    return ReadMatrix(num_cols, indptr, flat[:, 0], flat[:, 1])
+
+
+def rows(matrix: ReadMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per-row tuples of (column, allele) pairs."""
+    cols, vals, bounds = matrix.indices.tolist(), matrix.values.tolist(), matrix.indptr.tolist()
+    return tuple(tuple(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+def entries(matrix: ReadMatrix) -> Iterator[tuple[int, int, int]]:
+    """(row, column, allele) for every stored observation, in storage order."""
+    return ((i, j, a) for i, row in enumerate(rows(matrix)) for j, a in row)
+
+
+def dense(matrix: ReadMatrix) -> np.ndarray:
+    """Dense int8 copy with 0 at erased positions."""
+    out = np.zeros((matrix.num_rows, matrix.num_cols), dtype=np.int8)
+    for i, j, a in entries(matrix):
+        out[i, j] = a
+    return out
+
+
+def encode(h: Haplotype, c: MembershipVector) -> np.ndarray:
+    """Rank-1 source matrix: entry (i, j) is c_i * h_j."""
+    return np.outer(c.to_array(), h.to_array()).astype(np.int8)
+
+
+def project(source: np.ndarray, mask: Iterable[tuple[int, int]]) -> ReadMatrix:
+    """Keep only the masked positions of a dense +/-1 matrix.
+
+    Raises ValueError for out-of-bounds mask positions.
+    """
+    source = np.asarray(source)
+    m, n = source.shape
+    per_row: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for i, j in mask:
+        if not (0 <= i < m and 0 <= j < n):
+            raise ValueError(f"mask position ({i}, {j}) outside {m}x{n} matrix")
+        per_row[i].append((j, int(source[i, j])))
+    return read_matrix(n, (sorted(row) for row in per_row))
+
+
+def sample_mask(cfg: ChannelConfig, rng: np.random.Generator) -> set[tuple[int, int]]:
+    """The surviving positions transmit draws: k distinct uniform columns per row."""
+    cols = _draw_columns(cfg, rng)
+    return {(i, int(j)) for i in range(cfg.m) for j in cols[i]}
+
+
+def vote_entry(votes: VoteMatrix, u: int, v: int) -> int:
+    """Adjacency entry a_uv, read off the `edges` view."""
+    return int((min(u, v), max(u, v)) in votes.edges)
 
 
 class _DisjointSet:
@@ -63,7 +124,7 @@ class _DisjointSet:
 def overlap_components(matrix: ReadMatrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     m, n = matrix.num_rows, matrix.num_cols
     ds = _DisjointSet(m + n)
-    for i, j, _ in matrix.entries():
+    for i, j, _ in entries(matrix):
         ds.union(i, m + j)
     groups: dict[int, tuple[list[int], list[int]]] = {}
     for i in range(m):
@@ -93,18 +154,19 @@ def erasure_decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
     m, n = matrix.num_rows, matrix.num_cols
     if m == 0:
         raise ValueError("cannot decode an empty read matrix")
-    for i, row in enumerate(matrix.rows):
+    matrix_rows = rows(matrix)
+    for i, row in enumerate(matrix_rows):
         if not row:
             raise ValueError(f"row {i} has no observations")
 
     cols_to_rows: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in matrix.entries():
+    for i, j, _ in entries(matrix):
         cols_to_rows[j].append(i)
     for j in range(n):
         if not cols_to_rows[j]:
             return RecoveryResult(None, None, reason=UNCOVERED_COLUMN, column=j)
 
-    row_value = {i: dict(row) for i, row in enumerate(matrix.rows)}
+    row_value = {i: dict(row) for i, row in enumerate(matrix_rows)}
     c = [0] * m  # 0 = not yet reached
     h = [0] * n
     votes = [0] * n
@@ -115,7 +177,7 @@ def erasure_decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
     while queue:
         is_row, idx = queue.popleft()
         if is_row:
-            for j, r in matrix.rows[idx]:
+            for j, r in matrix_rows[idx]:
                 implied = c[idx] * r
                 votes[j] += implied
                 if h[j] == 0:
@@ -141,17 +203,16 @@ def erasure_decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
         h = [1 if v >= 0 else -1 for v in votes]
     estimate = Haplotype(tuple(h))
     membership = MembershipVector(tuple(c))
-    mismatches = sum(1 for i, j, r in matrix.entries() if c[i] * h[j] != r)
+    mismatches = sum(1 for i, j, r in entries(matrix) if c[i] * h[j] != r)
     return RecoveryResult(estimate, membership, meta={"mismatches": mismatches})
 
 
-def adjacency_tallies(matrix: ReadMatrix, vote_weight=None) -> dict[tuple[int, int], tuple[float, float]]:
+def adjacency_tallies(matrix: ReadMatrix) -> dict[tuple[int, int], tuple[float, float]]:
     tallies: dict[tuple[int, int], list[float]] = {}
-    for i, row in enumerate(matrix.rows):
+    for row in rows(matrix):
         for (u, a), (v, b) in combinations(row, 2):
-            weight = 1.0 if vote_weight is None else vote_weight(i, u, v)
             counts = tallies.setdefault((u, v), [0.0, 0.0])
-            counts[0 if a == b else 1] += weight
+            counts[0 if a == b else 1] += 1.0
     return {pair: (agree, disagree) for pair, (agree, disagree) in tallies.items()}
 
 
@@ -161,7 +222,7 @@ def infer_memberships(matrix: ReadMatrix, haplotype: Haplotype) -> MembershipVec
             f"haplotype length {len(haplotype)} != matrix columns {matrix.num_cols}"
         )
     members = []
-    for row in matrix.rows:
+    for row in rows(matrix):
         agreement = sum(value * haplotype[j] for j, value in row)
         members.append(1 if agreement >= 0 else -1)
     return MembershipVector(tuple(members))
@@ -169,7 +230,7 @@ def infer_memberships(matrix: ReadMatrix, haplotype: Haplotype) -> MembershipVec
 
 def save_fragments(matrix: ReadMatrix, path: str | Path) -> None:
     lines = [MAGIC, f"{matrix.num_rows} {matrix.num_cols}"]
-    for i, row in enumerate(matrix.rows):
+    for i, row in enumerate(rows(matrix)):
         parts = [f"{i}:"]
         parts.extend(f"{j}:{1 if a == 1 else 0}" for j, a in row)
         lines.append(" ".join(parts))
@@ -197,7 +258,7 @@ def load_fragments(path: str | Path) -> ReadMatrix:
     if len(lines) - 2 != m:
         raise DimensionError(f"header declares {m} rows but file has {len(lines) - 2}", 2)
 
-    rows: list[tuple[tuple[int, int], ...]] = []
+    parsed: list[tuple[tuple[int, int], ...]] = []
     for offset, line in enumerate(lines[2:]):
         lineno = offset + 3
         tokens = line.split(" ")
@@ -241,5 +302,5 @@ def load_fragments(path: str | Path) -> ReadMatrix:
                 entries.append((col, -1))
             else:
                 raise AlleleError(f"allele must be 0 or 1, got {allele_str!r}", lineno)
-        rows.append(tuple(entries))
-    return ReadMatrix(n, tuple(rows))
+        parsed.append(tuple(entries))
+    return read_matrix(n, parsed)
