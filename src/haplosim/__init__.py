@@ -21,7 +21,6 @@ from .planted import (
     alpha_beta_bounds,
     alpha_exact,
     beta_exact,
-    beta_term_ratio,
     binary_entropy,
     fano_min_reads,
     spectrum,
@@ -64,7 +63,6 @@ __all__ = [
     "alpha_exact",
     "beta_exact",
     "alpha_beta_bounds",
-    "beta_term_ratio",
     "binary_entropy",
     "fano_min_reads",
     "__version__",

@@ -5,7 +5,8 @@ column subsets, independent across rows) and every surviving observation is
 flipped independently with probability p. Also provides closed-form
 probabilities for the two failure events of error-free decoding: an
 uncovered column, and a split of reads/columns into two groups with no
-bridging observation. Both formulas are specific to k=2.
+bridging observation. Both formulas are specific to k=2 and are evaluated
+in log space; scipy.special is imported only where it is used.
 
 RNG: Philox (counter-based, 64-bit seeded). Pinned so that a (seed, trial)
 pair reproduces bit-identical draws regardless of execution order; do not
@@ -102,40 +103,23 @@ def transmit(
     return ReadMatrix(cfg.n, indptr, cols.ravel(), values.ravel()), flipped.ravel()
 
 
-def _log_sum_exp(terms: list[float]) -> float:
-    top = max(terms)
-    if top == -math.inf:
-        return -math.inf
-    # compensated accumulation of exp(t - top)
-    acc = 0.0
-    err = 0.0
-    for t in terms:
-        x = math.exp(t - top)
-        y = x - err
-        s = acc + y
-        err = (s - acc) - y
-        acc = s
-    return top + math.log(acc)
-
-
 def prob_uncovered_column(n: int, m: int) -> float:
     """Probability that some column receives no observation (k=2 reads).
 
-    Evaluates sum_{i=1}^{n-2} C(n,i) * [C(n-i,2)/C(n,2)]^m in log space and
-    clamps to [0, 1]. For n > 3 the sum lacks inclusion-exclusion
-    alternation, so treat it as a union-style upper estimate there; at n=3
-    it is exact.
+    Evaluates sum_{i=1}^{n-2} C(n,i) * [C(n-i,2)/C(n,2)]^m with
+    scipy.special.logsumexp and clamps it to [0, 1]. For n > 3 the sum lacks
+    inclusion-exclusion alternation, so treat it as a union-style upper
+    estimate there; at n=3 it is exact.
     """
+    from scipy.special import logsumexp
+
     if n < 3:
         raise ValueError("n must be >= 3")
     if m < 1:
         raise ValueError("m must be >= 1")
     log_pairs = _log_comb(n, 2)
-    terms = []
-    for i in range(1, n - 1):
-        terms.append(_log_comb(n, i) + m * (_log_comb(n - i, 2) - log_pairs))
-    value = math.exp(_log_sum_exp(terms))
-    return min(1.0, max(0.0, value))
+    terms = [_log_comb(n, i) + m * (_log_comb(n - i, 2) - log_pairs) for i in range(1, n - 1)]
+    return math.exp(min(0.0, float(logsumexp(terms))))
 
 
 def prob_disconnected_split(n: int, m: int, u: int, v: int) -> float:
@@ -143,7 +127,8 @@ def prob_disconnected_split(n: int, m: int, u: int, v: int) -> float:
     while the remaining m-u reads sample only its complement (k=2 reads).
 
     Evaluates C(n,v) C(m,u) C(v,2)^u C(n-v,2)^(m-u) / C(n,2)^m in log
-    space; clamped to [0, 1].
+    space; clamped to [0, 1], since the C(n,v) C(m,u) choice factor can
+    carry it past 1.
     """
     if not 1 <= u <= m - 1:
         raise ValueError(f"u must be in [1, m-1], got u={u}, m={m}")
@@ -157,4 +142,4 @@ def prob_disconnected_split(n: int, m: int, u: int, v: int) -> float:
         + (m - u) * _log_comb(n - v, 2)
         - m * log_pairs
     )
-    return min(1.0, max(0.0, math.exp(log_value)))
+    return math.exp(min(0.0, log_value))

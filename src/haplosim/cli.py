@@ -177,7 +177,7 @@ def _cmd_analyze(args, parser) -> int:
             _emit("v1_block2", repr(float(spec.v1[-1])))
             _emit("v2_block1", repr(float(spec.v2[0])))
             _emit("v2_block2", repr(float(spec.v2[-1])))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite --k1 makes m infinite
         parser.error(str(exc))
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "CellSummary",
     "run",
     "emit_csv",
-    "read_csv",
     "wilson_interval",
     "preset",
     "parse_config_text",
@@ -39,11 +38,6 @@ __all__ = [
 
 M_RULES = ("linear", "nlogn", "coverage")
 DECODERS = ("ed", "sp", "both")
-
-CSV_HEADER = (
-    "n,m_rule,kappa_or_c,p,k,decoder,trials,exact_rate,exact_ci_lo,exact_ci_hi,"
-    "mean_err_frac,failure_rate,mean_ms"
-)
 
 
 @dataclass(frozen=True)
@@ -227,62 +221,19 @@ def _format_number(value) -> str:
 
 
 def emit_csv(summaries: list[CellSummary], path) -> None:
-    lines = [CSV_HEADER]
+    """One header line of CellSummary field names, then one row per summary."""
+    columns = fields(CellSummary)
+    # annotations are strings here (from __future__ import annotations)
+    formats = [_format_number if f.type == "float" else str for f in columns]
+    lines = [",".join(f.name for f in columns)]
     for s in summaries:
-        lines.append(
-            ",".join(
-                [
-                    str(s.n),
-                    s.m_rule,
-                    _format_number(s.kappa_or_c),
-                    _format_number(s.p),
-                    str(s.k),
-                    s.decoder,
-                    str(s.trials),
-                    _format_number(s.exact_rate),
-                    _format_number(s.exact_ci_lo),
-                    _format_number(s.exact_ci_hi),
-                    _format_number(s.mean_err_frac),
-                    _format_number(s.failure_rate),
-                    _format_number(s.mean_ms),
-                ]
-            )
-        )
+        lines.append(",".join(fmt(getattr(s, f.name)) for fmt, f in zip(formats, columns)))
     from pathlib import Path
 
     try:
         Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def read_csv(path) -> list[CellSummary]:
-    from pathlib import Path
-
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header in {path}")
-    out = []
-    for line in lines[1:]:
-        f = line.split(",")
-        out.append(
-            CellSummary(
-                n=int(f[0]),
-                m_rule=f[1],
-                kappa_or_c=float(f[2]),
-                p=float(f[3]),
-                k=int(f[4]),
-                decoder=f[5],
-                trials=int(f[6]),
-                exact_rate=float(f[7]),
-                exact_ci_lo=float(f[8]),
-                exact_ci_hi=float(f[9]),
-                mean_err_frac=float(f[10]),
-                failure_rate=float(f[11]),
-                mean_ms=float(f[12]),
-            )
-        )
-    return out
 
 
 def preset(name: str, trials: int | None = None, base_seed: int = 0) -> ExperimentConfig:

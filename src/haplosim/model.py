@@ -21,7 +21,6 @@ __all__ = [
     "UNCOVERED_COLUMN",
     "DISCONNECTED",
     "INCONSISTENT",
-    "NON_CONVERGED",
     "hamming_up_to_flip",
 ]
 
@@ -153,7 +152,6 @@ class ReadMatrix:
 UNCOVERED_COLUMN = "uncovered_column"
 DISCONNECTED = "disconnected"
 INCONSISTENT = "inconsistent"
-NON_CONVERGED = "non_converged"
 
 
 @dataclass(frozen=True)
@@ -184,8 +182,6 @@ class RecoveryResult:
             return "DisconnectedComponent"
         if self.reason == INCONSISTENT:
             return "Inconsistent"
-        if self.reason == NON_CONVERGED:
-            return "NonConverged"
         return self.reason
 
 

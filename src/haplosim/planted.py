@@ -6,7 +6,9 @@ cross-class value beta. This module provides B's exact rank-2 spectrum, the
 exact alpha/beta double sums for the k=2 channel, worst-case bounds on both
 at m = k1*n*ln(n) read counts, and the Fano-style minimum read counts.
 
-All entropies are in bits.
+Binomial tails come from scipy.special.bdtrc, imported inside the function
+that needs it so that `import haplosim` does not load scipy.special. All
+entropies are in bits.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ __all__ = [
     "PlantedSpectrum",
     "VoteProb",
     "spectrum",
-    "build_matrix",
     "majority_vote_prob",
     "alpha_exact",
     "beta_exact",
     "alpha_beta_bounds",
-    "beta_term_ratio",
     "bound_assumptions_hold",
     "fano_min_reads",
     "binary_entropy",
@@ -71,15 +71,6 @@ class PlantedSpectrum:
     v2: np.ndarray
 
 
-def build_matrix(params: PlantedParams) -> np.ndarray:
-    """Dense realization: alpha on the two diagonal blocks, beta off them."""
-    n1, n2 = params.n1, params.n2
-    b = np.full((params.n, params.n), params.beta, dtype=float)
-    b[:n1, :n1] = params.alpha
-    b[n1:, n1:] = params.alpha
-    return b
-
-
 def spectrum(params: PlantedParams) -> PlantedSpectrum:
     """Closed-form rank-2 eigendecomposition of the planted matrix.
 
@@ -121,24 +112,6 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _majority_tail(i: int, s: float) -> float:
-    """P(Binomial(i, s) >= floor(i/2) + 1): a strict majority of i votes."""
-    if s <= 0.0:
-        return 0.0
-    if s >= 1.0:
-        return 1.0
-    lo = i // 2 + 1
-    if i <= 60:
-        return sum(
-            math.comb(i, l) * s**l * (1.0 - s) ** (i - l) for l in range(lo, i + 1)
-        )
-    # large vote counts: evaluate in log space to dodge huge binomials
-    log_s, log_1s = math.log(s), math.log1p(-s)
-    logs = [_log_comb(i, l) + l * log_s + (i - l) * log_1s for l in range(lo, i + 1)]
-    top = max(logs)
-    return min(1.0, math.exp(top) * sum(math.exp(x - top) for x in logs))
-
-
 def majority_vote_prob(n: int, m: int, p: float, same_class: bool) -> VoteProb:
     """Probability that majority voting links a fixed column pair.
 
@@ -146,9 +119,12 @@ def majority_vote_prob(n: int, m: int, p: float, same_class: bool) -> VoteProb:
     (Binomial(m, 2/(n(n-1)))) and, within each count, on a strict majority
     of agreeing observations. A covering read agrees with probability
     (1-p)^2 + p^2 when the pair is in the same class and 2p(1-p) otherwise.
-    The read-count sum stops once the remaining binomial mass drops below
-    TRUNCATION_TAIL; that mass bounds the truncation error.
+    The read-count sum stops at the first count i whose binomial tail
+    P(count > i) is below TRUNCATION_TAIL; that tail is the exact mass left
+    out and is returned as the truncation bound.
     """
+    from scipy.special import bdtrc
+
     if n < 3:
         raise ValueError("n must be >= 3")
     if m < 1:
@@ -159,20 +135,13 @@ def majority_vote_prob(n: int, m: int, p: float, same_class: bool) -> VoteProb:
     s = (1.0 - p) ** 2 + p**2 if same_class else 2.0 * p * (1.0 - p)
     log_q, log_1q = math.log(q), math.log1p(-q)
     total = 0.0
-    cumulative = 0.0
-    for i in range(0, m + 1):
+    for i in range(1, m + 1):
         pmf = math.exp(_log_comb(m, i) + i * log_q + (m - i) * log_1q)
-        cumulative += pmf
-        if i >= 1:
-            total += pmf * _majority_tail(i, s)
-        if cumulative >= 1.0 - TRUNCATION_TAIL:
+        total += pmf * float(bdtrc(i // 2, i, s))  # strict majority of i votes
+        tail = float(bdtrc(i, m, q))
+        if tail < TRUNCATION_TAIL:
             break
-        # past the mode the pmf decays geometrically; once it is far below
-        # the tail target the float cumulative cannot move anyway
-        if i > m * q + 10 and pmf < TRUNCATION_TAIL * 1e-3:
-            break
-    value = min(1.0, max(0.0, total))
-    return VoteProb(value, max(0.0, 1.0 - cumulative))
+    return VoteProb(min(1.0, max(0.0, total)), tail)
 
 
 def alpha_exact(n: int, m: int, p: float) -> float:
@@ -194,6 +163,8 @@ def alpha_beta_bounds(
     bound_assumptions_hold for the explicit threshold check. m must match
     k1*n*ln(n) within 1%.
     """
+    if n < 3:
+        raise ValueError("n must be >= 3")
     if not (0 < k2 < 1 < k3):
         raise ValueError(f"need 0 < k2 < 1 < k3, got k2={k2}, k3={k3}")
     if k1 <= 0:
@@ -207,34 +178,11 @@ def alpha_beta_bounds(
     return alpha_lower, beta_upper
 
 
-def _beta_term(n: int, m: int, p: float, i: int) -> float:
-    """The i-th read-count term of the cross-class probability series."""
-    q = 2.0 / (n * (n - 1))
-    s = 2.0 * p * (1.0 - p)
-    log_pmf = _log_comb(m, i) + i * math.log(q) + (m - i) * math.log1p(-q)
-    return math.exp(log_pmf) * _majority_tail(i, s)
-
-
-def beta_term_ratio(n: int, m: int, p: float, i: int) -> tuple[float, float]:
-    """Ratio of consecutive cross-class series terms and its closed-form floor.
-
-    Returns (beta_i / beta_{i+1}, bound) with
-    bound = [n(n-1)-2] / [4(m-2)] for even i and [n(n-1)-2] / [2(m-1)] for
-    odd i. When the denominator term underflows to zero the ratio is
-    reported as +inf, which makes the comparison pass vacuously.
-    """
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    if i + 1 > m:
-        raise ValueError(f"need i+1 <= m, got i={i}, m={m}")
-    numer = _beta_term(n, m, p, i)
-    denom = _beta_term(n, m, p, i + 1)
-    ratio = math.inf if denom == 0.0 else numer / denom
-    if i % 2 == 0:
-        bound = (n * (n - 1) - 2.0) / (4.0 * (m - 2.0))
-    else:
-        bound = (n * (n - 1) - 2.0) / (2.0 * (m - 1.0))
-    return ratio, bound
+def _ratio_floors(n: int, m: float) -> tuple[float, float]:
+    """Closed-form floors on beta_i / beta_{i+1} for even and odd i: the
+    Lemma-1 term-ratio step gives [n(n-1)-2] / [4(m-2)] and [n(n-1)-2] / [2(m-1)]."""
+    pairs = n * (n - 1) - 2.0
+    return pairs / (4.0 * (m - 2.0)), pairs / (2.0 * (m - 1.0))
 
 
 def bound_assumptions_hold(n: int, k1: float, k2: float, k3: float) -> bool:
@@ -242,16 +190,16 @@ def bound_assumptions_hold(n: int, k1: float, k2: float, k3: float) -> bool:
 
     Two conditions: n^(-4*k1/(n-1)) >= k2, and both term-ratio floors at
     m = k1*n*ln(n) are >= k3. With k1=2, k2=1/2, k3=2 the smallest valid
-    n is 69.
+    n is 69. At m <= 2 the floors are not positive (at m = 2 the even one
+    divides by zero), so the check fails there.
     """
     if n < 2:
         return False
-    first = n ** (-4.0 * k1 / (n - 1)) >= k2
     m_real = k1 * n * math.log(n)
-    even_floor = (n * (n - 1) - 2.0) / (4.0 * (m_real - 2.0))
-    odd_floor = (n * (n - 1) - 2.0) / (2.0 * (m_real - 1.0))
-    second = min(even_floor, odd_floor) >= k3
-    return first and second
+    if m_real <= 2.0:
+        return False
+    first = n ** (-4.0 * k1 / (n - 1)) >= k2
+    return first and min(_ratio_floors(n, m_real)) >= k3
 
 
 def binary_entropy(p: float) -> float:

@@ -1,18 +1,22 @@
+import csv
 import itertools
 import math
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 
 import tuple_reference as ref
 from haplosim.channel import ChannelConfig, transmit
 from haplosim.erasure import decode as ed_decode
-from haplosim.experiments import Cell, ExperimentConfig, run
+from haplosim.experiments import Cell, CellSummary, ExperimentConfig, run
 from haplosim.fragio import load_fragments, save_fragments
 from haplosim.model import Haplotype, MembershipVector
+from haplosim.planted import PlantedParams, _ratio_floors
 from haplosim.spectral import build_adjacency
 
 # Observed positions of the 8x6 instance with known ground truth
@@ -46,6 +50,45 @@ def random_instance(n, m, k, p, seed):
     c = MembershipVector(rng.integers(0, 2, size=m) * 2 - 1)
     observed, _ = transmit(h, c, ChannelConfig(n=n, m=m, k=k, p=p, seed=seed + 0x9E3779B9))
     return h, c, observed
+
+
+def build_matrix(params: PlantedParams) -> np.ndarray:
+    """Dense planted matrix: alpha on the two diagonal blocks, beta off them."""
+    n1 = params.n1
+    b = np.full((params.n, params.n), params.beta, dtype=float)
+    b[:n1, :n1] = params.alpha
+    b[n1:, n1:] = params.alpha
+    return b
+
+
+def beta_term_ratio(n: int, m: int, p: float, i: int) -> tuple[float, float]:
+    """Oracle for the Lemma-1 term-ratio step: (beta_i / beta_{i+1}, floor).
+
+    beta_i = C(m,i) q^i (1-q)^(m-i) P(Binomial(i, 2p(1-p)) > i/2) with
+    q = 2/(n(n-1)), summed in 50-digit mpmath (p > 0, so no term vanishes).
+    The floor is planted's even-i or odd-i closed form.
+    """
+    with mpmath.workdps(50):
+        q = mpmath.mpf(2) / (n * (n - 1))
+        s = 2 * mpmath.mpf(p) * (1 - mpmath.mpf(p))
+
+        def term(j):
+            majority = mpmath.fsum(
+                mpmath.binomial(j, l) * s**l * (1 - s) ** (j - l) for l in range(j // 2 + 1, j + 1)
+            )
+            return mpmath.binomial(m, j) * q**j * (1 - q) ** (m - j) * majority
+
+        ratio = float(term(i) / term(i + 1))
+    even_floor, odd_floor = _ratio_floors(n, m)
+    return ratio, even_floor if i % 2 == 0 else odd_floor
+
+
+def read_summaries(path) -> list[CellSummary]:
+    """Parse an emit_csv file back into CellSummary rows, typed by field."""
+    # annotations are strings (the module uses from __future__ import annotations)
+    types = {f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(CellSummary)}
+    with open(path, newline="", encoding="ascii") as fh:
+        return [CellSummary(**{k: types[k](v) for k, v in row.items()}) for row in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,16 @@ import pytest
 
 import tuple_reference as ref
 from conftest import (
+    beta_term_ratio,
+    build_matrix,
     check_adjacency_equivariance,
     check_decode_matches_components,
     check_fragio_roundtrip,
+    read_summaries,
 )
 from haplosim.channel import ChannelConfig, make_rng, prob_uncovered_column
 from haplosim.erasure import decode as ed_decode
-from haplosim.experiments import Cell, ExperimentConfig, read_csv
+from haplosim.experiments import Cell, ExperimentConfig
 from haplosim.experiments import run as run_sweep
 from haplosim.model import hamming_up_to_flip
 from haplosim.planted import (
@@ -27,9 +30,7 @@ from haplosim.planted import (
     alpha_beta_bounds,
     alpha_exact,
     beta_exact,
-    beta_term_ratio,
     binary_entropy,
-    build_matrix,
     fano_min_reads,
     spectrum,
 )
@@ -207,7 +208,7 @@ def test_criterion_7_read_scale_and_noise_sweeps(tmp_path, fig3_run, fig4_cli_ru
 
     fig4_csv = tmp_path / "fig4.csv"
     fig4_csv.write_bytes(payloads[0])
-    fig4 = read_csv(fig4_csv)
+    fig4 = read_summaries(fig4_csv)
     sp_errs = [s.mean_err_frac for s in fig4 if s.decoder == "sp"]
     noise_ok = all(a <= b + 1e-12 for a, b in zip(sp_errs, sp_errs[1:]))
     elapsed = fig3_seconds + fig4_seconds

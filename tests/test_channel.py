@@ -212,6 +212,10 @@ class TestUncoveredColumnProbability:
             values = [prob_uncovered_column(n, m) for m in range(1, 40)]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
+    def test_union_sum_past_one_clamps(self):
+        # the union-style sum is about e^950 here; exp of it would overflow
+        assert prob_uncovered_column(2000, 400) == 1.0
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             prob_uncovered_column(2, 5)
@@ -251,6 +255,10 @@ class TestDisconnectedSplitProbability:
     def test_monotone_in_reads(self):
         values = [prob_disconnected_split(8, m, 1, 2) for m in range(2, 40)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_choice_factor_past_one_clamps(self):
+        # the log value is about 1379 here; exp of it would overflow
+        assert prob_disconnected_split(2000, 4, 2, 1000) == 1.0
 
     @pytest.mark.parametrize("u,v", [(0, 3), (8, 3), (1, 1), (1, 7)])
     def test_out_of_range_rejected(self, u, v):

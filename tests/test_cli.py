@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import subprocess
 import sys
 
@@ -297,6 +298,41 @@ def test_decode_fuzz_exits_with_a_code_and_key_value_stdout(tmp_path_factory, ca
         assert sep and key.isidentifier(), line
 
 
+@st.composite
+def analyze_argv(draw):
+    """`analyze` argv: one --what and any subset of the numeric flags. Integers stay
+    at or below 10^4, which keeps the e1 sum and the spectrum vectors short, and
+    finite floats below 100, which keeps the lemma1 read-count sum short."""
+    argv = ["analyze", "--what", draw(st.sampled_from(["e1", "e2", "fano", "lemma1", "spectrum"]))]
+    ints = st.integers(3, 300) | st.integers(-3, 10**4)
+    floats = st.sampled_from([0.1, 0.5, 2.0, math.nan, math.inf, -math.inf]) | st.floats(-1, 100)
+    for name in ("n", "m", "u", "v", "n1", "n2", "pe", "p", "k1", "k2", "k3", "alpha", "beta"):
+        value = draw(st.none() | (ints if name in ("n", "m", "u", "v", "n1", "n2") else floats))
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(analyze_argv())
+@example(["analyze", "--what", "e1", "--n=2000", "--m=400"])  # union sum past 1
+@example(["analyze", "--what", "e2", "--n=2000", "--m=4", "--u=2", "--v=1000"])
+@example(["analyze", "--what", "lemma1", "--n=1", "--p=0.1", "--k1=2", "--k2=0.5", "--k3=2"])
+@example(["analyze", "--what", "lemma1", "--n=100", "--p=0.1", "--k1=inf", "--k2=0.5", "--k3=2"])
+@example(["analyze", "--what", "lemma1", "--n=3", "--p=0.1", "--k1=0.6068261510845582", "--k2=0.5", "--k3=2"])
+def test_analyze_fuzz_exits_with_a_code_and_key_value_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse usage errors
+            code = stop.code
+    assert code in (0, 2)
+    for line in out.getvalue().splitlines():
+        key, sep, _ = line.partition("=")
+        assert sep and key.isidentifier(), line
+
+
 class TestAnalyze:
     def test_fano_error_free(self, capsys):
         code, stdout, _ = run_cli(capsys, "analyze", "--what", "fano", "--n", "1000", "--pe", "0")
@@ -345,6 +381,11 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", "--what", "e1", "--n", "2", "--m", "5")
         assert code == 2
 
+    def test_overflowing_probability_reads_one(self, capsys):
+        code, stdout, _ = run_cli(capsys, "analyze", "--what", "e1", "--n", "2000", "--m", "400")
+        assert code == 0
+        assert parse_kv(stdout)["e1"] == "1.0"
+
 
 class TestExperiment:
     def test_config_file_sweep(self, capsys, tmp_path):
@@ -390,3 +431,12 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0
     assert "fano_min_reads=10.0" in proc.stdout
+
+
+def test_import_leaves_scipy_special_and_stats_unloaded():
+    # a fresh `import haplosim` is the benchmark's set-up time; scipy.special is
+    # imported inside the closed forms that use it, and scipy.stats not at all
+    probe = "import sys, haplosim; print([m for m in ('scipy.special', 'scipy.stats') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

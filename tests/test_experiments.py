@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tuple_reference as ref
-from conftest import check_fragio_roundtrip
+from conftest import check_fragio_roundtrip, read_summaries
 from haplosim.experiments import (
     Cell,
     CellSummary,
@@ -12,7 +12,6 @@ from haplosim.experiments import (
     emit_csv,
     parse_config_text,
     preset,
-    read_csv,
     run,
     wilson_interval,
 )
@@ -133,7 +132,7 @@ class TestCsv:
             )
         path = tmp_path / "roundtrip.csv"
         emit_csv(summaries, path)
-        assert read_csv(path) == summaries
+        assert read_summaries(path) == summaries
 
     def test_unwritable_path_raises_with_context(self, tmp_path):
         target = tmp_path / "missing_dir" / "out.csv"

@@ -6,15 +6,16 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import beta_term_ratio, build_matrix
 from haplosim.planted import (
+    TRUNCATION_TAIL,
     PlantedParams,
+    _ratio_floors,
     alpha_beta_bounds,
     alpha_exact,
     beta_exact,
-    beta_term_ratio,
     binary_entropy,
     bound_assumptions_hold,
-    build_matrix,
     fano_min_reads,
     majority_vote_prob,
     spectrum,
@@ -150,6 +151,11 @@ class TestExactVoteProbabilities:
         detail = majority_vote_prob(100, 921, 0.1, same_class=True)
         assert 0.0 <= detail.truncation_bound <= 1e-12
 
+    def test_truncation_bound_is_the_dropped_tail(self):
+        # about 8e-18 of the read-count mass lies past the cut here
+        detail = majority_vote_prob(1000, 13816, 0.1, same_class=True)
+        assert 0.0 < detail.truncation_bound <= TRUNCATION_TAIL
+
 
 class TestBounds:
     def test_bracket_holds_at_reference_point(self):
@@ -176,6 +182,11 @@ class TestBounds:
         assert all(n >= 69 for n in valid)
         assert valid == list(range(69, 90))
 
+    def test_assumptions_fail_at_two_reads(self):
+        k1 = 0.6068261510845582  # k1 * 3 * ln(3) is exactly 2.0
+        assert 3 * k1 * math.log(3) == 2.0
+        assert not bound_assumptions_hold(3, k1, 0.5, 2.0)
+
     def test_term_ratio_beats_closed_form_floor(self):
         n = 100
         m = round(2 * n * math.log(n))
@@ -187,20 +198,13 @@ class TestBounds:
     def test_floors_exceed_two_at_n100(self):
         n = 100
         m = round(2 * n * math.log(n))
-        _, even_bound = beta_term_ratio(n, m, 0.1, 2)
-        _, odd_bound = beta_term_ratio(n, m, 0.1, 1)
+        even_bound, odd_bound = _ratio_floors(n, m)
         assert even_bound >= 2.0
         assert odd_bound >= 2.0
 
-    def test_vanishing_terms_report_infinite_ratio(self):
-        ratio, _ = beta_term_ratio(100, 921, 0.0, 1)
-        assert math.isinf(ratio)
-
-    def test_index_validation(self):
+    def test_tiny_n_rejected(self):
         with pytest.raises(ValueError):
-            beta_term_ratio(100, 921, 0.1, 0)
-        with pytest.raises(ValueError):
-            beta_term_ratio(100, 10, 0.1, 10)
+            alpha_beta_bounds(1, 0, 0.1, 2.0, 0.5, 2.0)
 
 
 class TestEntropyAndFano:

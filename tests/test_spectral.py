@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import tuple_reference as ref
-from conftest import check_adjacency_equivariance, random_instance
+from conftest import build_matrix, check_adjacency_equivariance, random_instance
 from haplosim.model import Haplotype, hamming_up_to_flip
-from haplosim.planted import PlantedParams, build_matrix, spectrum
+from haplosim.planted import PlantedParams, spectrum
 from haplosim.spectral import (
     NonConvergedError,
     SpectralConfig,
