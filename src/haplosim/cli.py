@@ -199,8 +199,15 @@ def _cmd_experiment(args, parser) -> int:
     except (OSError, ValueError) as exc:
         _say(str(exc))
         return EXIT_USAGE
+    if args.threads < 1:
+        _say(f"--threads must be >= 1, got {args.threads}")
+        return EXIT_USAGE
     summaries = experiments.run(config, threads=args.threads, measure_time=not args.no_timing)
-    experiments.emit_csv(summaries, args.out)
+    try:
+        experiments.emit_csv(summaries, args.out)
+    except OSError as exc:
+        _say(str(exc))
+        return EXIT_USAGE
     for s in summaries:
         _say(
             f"cell n={s.n} {s.m_rule}={s.kappa_or_c:g} p={s.p:g} {s.decoder}: "
@@ -259,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=None, help="override the base seed")
     exp.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads; results do not depend on it (default 1)",
+        help="worker processes, capped at the CPU count; results do not depend on it (default 1)",
     )
     exp.add_argument(
         "--no-timing", action="store_true",

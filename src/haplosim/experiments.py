@@ -2,7 +2,7 @@
 
 Each grid cell runs `trials` independent draws. Trial randomness is keyed
 by SeedSequence(base_seed, spawn_key=(cell_index, trial_index)), so results
-are bit-identical regardless of thread count or scheduling; per-trial wall
+are bit-identical regardless of worker count or scheduling; per-trial wall
 times are the only nondeterministic output and can be disabled for
 byte-reproducible CSVs.
 
@@ -12,11 +12,12 @@ as chance-level: SNP error fraction 0.5 and no exact recovery.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -172,24 +173,96 @@ def _run_trial(
     return out
 
 
+def _worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for a sweep of `tasks` trials: never more than the
+    trials or the CPUs, whatever `threads` asks for."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return min(threads, tasks, os.cpu_count() or 1)
+
+
+# (workers, ProcessPoolExecutor): one pool kept for every run() in the process,
+# so repeated small sweeps pay worker start-up once
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _shutdown_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True)
+        _pool = None
+
+
+atexit.register(_shutdown_pool)
+
+
+def _process_pool(workers: int):
+    """The shared pool with `workers` processes; call with _pool_lock held."""
+    global _pool
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if _pool is None or _pool[0] != workers:
+        _shutdown_pool()
+        # the workers already share the CPUs, so each gets one BLAS thread;
+        # OpenBLAS reads the variable once, when a worker imports numpy
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+        _pool = (workers, pool)
+        try:
+            # spawn starts workers on demand: start all of them while the variable is set
+            for future in [pool.submit(os.getpid) for _ in range(workers)]:
+                future.result()
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
+    return _pool[1]
+
+
+def _run_on_pool(workers: int, trial_args: list[tuple]) -> list:
+    """[_run_trial(*args) for args in trial_args] on the shared worker pool."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    chunksize = max(1, len(trial_args) // (4 * workers))
+    with _pool_lock:
+        try:
+            pool = _process_pool(workers)
+            return list(pool.map(_run_trial, *zip(*trial_args), chunksize=chunksize))
+        except BrokenProcessPool as exc:
+            _shutdown_pool()  # the next run() starts a fresh pool
+            raise RuntimeError(
+                "a sweep worker process exited unexpectedly (killed, out of "
+                "memory, or failed to start); the sweep was abandoned"
+            ) from exc
+
+
 def run(
     config: ExperimentConfig, threads: int = 1, measure_time: bool = True
 ) -> list[CellSummary]:
     """Execute the sweep; summaries are deterministic given base_seed.
 
-    With measure_time=False the wall-time column is fixed at 0.0, which
-    makes the emitted CSV byte-identical across reruns and thread counts.
+    threads > 1 runs the trials on that many worker processes, at most one
+    per trial and per CPU. With measure_time=False the wall-time column is
+    fixed at 0.0, which makes the emitted CSV byte-identical across reruns
+    and worker counts.
     """
+    trial_args = [
+        (cell, cell_index, t, config.base_seed, measure_time)
+        for cell_index, cell in enumerate(config.cells)
+        for t in range(config.trials)
+    ]
+    workers = _worker_count(threads, len(trial_args))
+    if workers > 1:
+        outcomes = _run_on_pool(workers, trial_args)
+    else:
+        outcomes = [_run_trial(*args) for args in trial_args]
     summaries: list[CellSummary] = []
     for cell_index, cell in enumerate(config.cells):
-        task = partial(
-            _run_trial, cell, cell_index, base_seed=config.base_seed, measure_time=measure_time
-        )
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trials = list(pool.map(task, range(config.trials)))
-        else:
-            trials = [task(t) for t in range(config.trials)]
+        trials = outcomes[cell_index * config.trials : (cell_index + 1) * config.trials]
         for name in cell.decoders():
             rows = [trial[name] for trial in trials]  # trial order fixed by index
             exact = sum(1 for r in rows if r[0])
@@ -262,7 +335,9 @@ def preset(name: str, trials: int | None = None, base_seed: int = 0) -> Experime
         default_trials = 100
     else:
         raise ValueError(f"unknown preset {name!r}; expected fig3, fig4, or table1")
-    return ExperimentConfig(cells, trials=trials or default_trials, base_seed=base_seed)
+    if trials is None:
+        trials = default_trials
+    return ExperimentConfig(cells, trials=trials, base_seed=base_seed)
 
 
 _CELL_FIELDS = {

@@ -414,6 +414,35 @@ class TestExperiment:
         assert code == 2
         assert "empty" in stderr
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "experiment", "--preset", "fig4", "--trials", "1", "--out", str(out)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and "x.csv" in stderr
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_usage_error(self, capsys, tmp_path, threads):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(
+            capsys, "experiment", "--preset", "fig4", "--trials", "1",
+            "--threads", threads, "--out", str(out),
+        )
+        assert code == 2
+        assert len(stderr.splitlines()) == 1 and "--threads" in stderr
+        assert not out.exists()
+
+    def test_zero_trials_preset_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(
+            capsys, "experiment", "--preset", "fig4", "--trials", "0", "--out", str(out)
+        )
+        assert code == 2
+        assert "trials" in stderr
+        assert not out.exists()
+
     def test_config_and_preset_exclusive(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "experiment", "--config", "a", "--preset", "fig3",
@@ -435,8 +464,10 @@ def test_console_script_wiring():
 
 def test_import_leaves_scipy_special_and_stats_unloaded():
     # a fresh `import haplosim` is the benchmark's set-up time; scipy.special is
-    # imported inside the closed forms that use it, and scipy.stats not at all
-    probe = "import sys, haplosim; print([m for m in ('scipy.special', 'scipy.stats') if m in sys.modules])"
+    # imported inside the closed forms that use it, scipy.stats not at all, and
+    # the process-pool modules only when a sweep first starts its workers
+    lazy = ("scipy.special", "scipy.stats", "multiprocessing", "concurrent.futures.process")
+    probe = f"import sys, haplosim; print([m for m in {lazy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,10 +1,14 @@
 import math
+import os
+import signal
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
 
 import tuple_reference as ref
 from conftest import check_fragio_roundtrip, read_summaries
+from haplosim import experiments
 from haplosim.experiments import (
     Cell,
     CellSummary,
@@ -75,9 +79,9 @@ class TestRun:
             trials=8,
             base_seed=9,
         )
-        assert run(config, threads=1, measure_time=False) == run(
-            config, threads=3, measure_time=False
-        )
+        serial = run(config, threads=1, measure_time=False)
+        for workers in (2, 4):
+            assert run(config, threads=workers, measure_time=False) == serial
 
     def test_reruns_are_identical(self):
         config = ExperimentConfig((Cell(20, "linear", 4.0, 0.2),), trials=6, base_seed=3)
@@ -89,6 +93,51 @@ class TestRun:
         assert summary.mean_ms == 0.0
         (timed,) = run(config, measure_time=True)
         assert timed.mean_ms > 0.0
+
+
+def test_threads_below_one_rejected():
+    config = ExperimentConfig((Cell(20, "linear", 4.0, 0.0, decoder="ed"),), trials=2)
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads"):
+            run(config, threads=threads)
+
+
+def test_worker_count_is_capped():
+    cpus = os.cpu_count() or 1
+    assert experiments._worker_count(10**6, 10**6) == cpus
+    assert experiments._worker_count(10**6, 3) == min(3, cpus)
+    assert experiments._worker_count(1, 10**6) == 1
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: run() keeps every trial in process")
+class TestWorkerPool:
+    CONFIG = ExperimentConfig(
+        (Cell(25, "nlogn", 2.0, 0.1), Cell(20, "linear", 4.0, 0.0, decoder="ed")),
+        trials=4,
+        base_seed=21,
+    )
+
+    def test_second_run_reuses_the_pool(self):
+        first = run(self.CONFIG, threads=2, measure_time=False)
+        pool = experiments._pool
+        assert pool is not None and pool[0] == 2
+        assert run(self.CONFIG, threads=2, measure_time=False) == first
+        assert experiments._pool is pool
+
+    def test_killed_worker_fails_one_run_only(self):
+        expected = run(self.CONFIG, threads=1, measure_time=False)
+        run(self.CONFIG, threads=2, measure_time=False)
+        worker = next(iter(experiments._pool[1]._processes.values()))
+        os.kill(worker.pid, signal.SIGKILL)
+        assert wait([worker.sentinel], timeout=60)
+        with pytest.raises(RuntimeError, match="worker process exited unexpectedly"):
+            run(self.CONFIG, threads=2, measure_time=False)
+        assert experiments._pool is None
+        assert run(self.CONFIG, threads=2, measure_time=False) == expected
+
+    def test_workers_report_wall_times(self):
+        summaries = run(self.CONFIG, threads=2, measure_time=True)
+        assert all(s.mean_ms > 0.0 for s in summaries)
 
 
 class TestCsv:
