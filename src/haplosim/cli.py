@@ -55,9 +55,13 @@ def _cmd_simulate(args, parser) -> int:
         seed=int(channel_ss.generate_state(1, dtype=np.uint64)[0]),
     )
     observed, flipped = channel.transmit(h, c, cfg)
-    fragio.save_fragments(observed, args.out)
-    if args.truth:
-        fragio.save_truth(h, c, args.truth)
+    try:
+        fragio.save_fragments(observed, args.out)
+        if args.truth:
+            fragio.save_truth(h, c, args.truth)
+    except OSError as exc:
+        _say(f"cannot write: {exc}")
+        return EXIT_USAGE
     _emit("n", cfg.n)
     _emit("m", cfg.m)
     _emit("k", cfg.k)
@@ -113,9 +117,9 @@ def _cmd_decode(args, parser) -> int:
         membership = spectral.infer_memberships(observed, estimate)
 
     _emit("status", "success")
-    _emit("h", fragio.format_signs(estimate.alleles))
+    _emit("h", fragio.format_signs(estimate.to_array()))
     if membership is not None:
-        _emit("c", fragio.format_signs(membership.members))
+        _emit("c", fragio.format_signs(membership.to_array()))
     if true_h is not None:
         errors, flip = hamming_up_to_flip(true_h, estimate)
         _emit("errors", errors)
@@ -201,6 +205,13 @@ def _cmd_experiment(args, parser) -> int:
         return EXIT_USAGE
     if args.threads < 1:
         _say(f"--threads must be >= 1, got {args.threads}")
+        return EXIT_USAGE
+    import os
+
+    # the CSV is written after the sweep, which can run for minutes
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        _say(f"cannot write CSV to {args.out}: no directory {out_dir}")
         return EXIT_USAGE
     summaries = experiments.run(config, threads=args.threads, measure_time=not args.no_timing)
     try:

@@ -348,6 +348,7 @@ _CELL_FIELDS = {
     "k": int,
     "decoder": str,
 }
+_GLOBAL_FIELDS = {"trials": int, "base_seed": int}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -357,8 +358,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     line opens a block of `key = value` pairs (n, m_rule, kappa_or_c, p,
     and optionally k, decoder). All problems are reported together.
     """
-    trials = 100
-    base_seed = 0
+    settings = {"trials": 100, "base_seed": 0}
     cells: list[dict] = []
     current: dict | None = None
     problems: list[str] = []
@@ -374,21 +374,16 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not sep:
             problems.append(f"line {lineno}: expected 'key = value', got {raw!r}")
             continue
-        if current is None:
-            if key == "trials":
-                trials = int(value)
-            elif key == "base_seed":
-                base_seed = int(value)
-            else:
-                problems.append(f"line {lineno}: unknown global key {key!r}")
-        else:
-            if key not in _CELL_FIELDS:
-                problems.append(f"line {lineno}: unknown cell key {key!r}")
-                continue
-            try:
-                current[key] = _CELL_FIELDS[key](value)
-            except ValueError:
-                problems.append(f"line {lineno}: bad value for {key!r}: {value!r}")
+        scope, target, types = (
+            ("global", settings, _GLOBAL_FIELDS) if current is None else ("cell", current, _CELL_FIELDS)
+        )
+        if key not in types:
+            problems.append(f"line {lineno}: unknown {scope} key {key!r}")
+            continue
+        try:
+            target[key] = types[key](value)
+        except ValueError:
+            problems.append(f"line {lineno}: bad value for {key!r}: {value!r}")
     parsed: list[Cell] = []
     for index, fields in enumerate(cells):
         missing = {"n", "m_rule", "kappa_or_c", "p"} - fields.keys()
@@ -398,4 +393,4 @@ def parse_config_text(text: str) -> ExperimentConfig:
         parsed.append(Cell(**fields))
     if problems:
         raise ValueError("invalid experiment config:\n" + "\n".join(problems))
-    return ExperimentConfig(tuple(parsed), trials=trials, base_seed=base_seed)
+    return ExperimentConfig(tuple(parsed), **settings)

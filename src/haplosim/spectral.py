@@ -137,8 +137,8 @@ class SpectralConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 def _row_pairs(matrix: ReadMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tuple_reference as ref
-from haplosim import erasure, spectral
+from haplosim import erasure, experiments, spectral
 from haplosim.cli import main
 from haplosim.fragio import MAGIC, load_fragments, save_fragments, save_truth
 
@@ -81,6 +81,18 @@ class TestSimulate:
             "--out", str(tmp_path / "x.frag"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--out", "--truth"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, flag):
+        paths = {"--out": str(tmp_path / "r.frag"), "--truth": str(tmp_path / "t.txt")}
+        paths[flag] = str(tmp_path / "missing" / "x")
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--n", "10", "--m", "20", "--p", "0.1", "--seed", "1",
+            "--out", paths["--out"], "--truth", paths["--truth"],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and "missing" in stderr
 
     def test_coverage_sets_read_count(self, capsys, tmp_path):
         out = tmp_path / "c.frag"
@@ -219,6 +231,13 @@ class TestDecodeRejectsInputs:
 
     def test_sp_on_one_site(self, capsys, tmp_path):
         self.rejected(capsys, tmp_path, "#haplofrag v1\n2 1\n0: 0:1\n1: 0:0\n", "--algo", "sp")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_sp_with_a_non_finite_tolerance(self, capsys, tmp_path, tol):
+        stderr = self.rejected(
+            capsys, tmp_path, "#haplofrag v1\n2 2\n0: 0:1 1:1\n1: 0:0 1:0\n", "--algo", "sp", f"--tol={tol}"
+        )
+        assert "tolerance must be positive and finite" in stderr
 
     @pytest.mark.parametrize("algo", ["ed", "sp"])
     def test_columns_beyond_int32(self, capsys, tmp_path, algo):
@@ -414,7 +433,11 @@ class TestExperiment:
         assert code == 2
         assert "empty" in stderr
 
-    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output was checked")
+
+        monkeypatch.setattr(experiments, "run", sweep)
         out = tmp_path / "missing" / "x.csv"
         code, stdout, stderr = run_cli(
             capsys, "experiment", "--preset", "fig4", "--trials", "1", "--out", str(out)
@@ -463,11 +486,13 @@ def test_console_script_wiring():
 
 
 def test_import_leaves_scipy_special_and_stats_unloaded():
-    # a fresh `import haplosim` is the benchmark's set-up time; scipy.special is
-    # imported inside the closed forms that use it, scipy.stats not at all, and
-    # the process-pool modules only when a sweep first starts its workers
+    # a fresh `import haplosim` is the sweep benchmarks' set-up time and a fresh
+    # `import haplosim.cli` the cli benchmark's; scipy.special is imported inside
+    # the closed forms that use it, scipy.stats not at all, and the process-pool
+    # modules only when a sweep first starts its workers
     lazy = ("scipy.special", "scipy.stats", "multiprocessing", "concurrent.futures.process")
-    probe = f"import sys, haplosim; print([m for m in {lazy!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for module in ("haplosim", "haplosim.cli"):
+        probe = f"import sys, {module}; print([m for m in {lazy!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tuple_reference as ref
-from conftest import new_path
+from conftest import new_path, random_instance
 from haplosim import erasure, fragio, spectral
 from haplosim.model import Haplotype
 
@@ -157,3 +157,20 @@ def test_load_fragments_matches_line_parser_on_edge_cases(frag_dir, rows):
     count = rows.count("\n") + 1
     path.write_text(f"{fragio.MAGIC}\n{count} 12\n{rows}\n", encoding="ascii", newline="\n")
     assert outcome(fragio.load_fragments, path) == outcome(ref.load_fragments, path)
+
+
+def test_codec_matches_tuple_reference_at_cli_size(tmp_path):
+    # one channel draw at the cli benchmark's size: n = 2000, m = ceil(2 n ln n)
+    h, c, observed = random_instance(2000, 30404, 2, 0.1, seed=7)
+    frag, expected = tmp_path / "saved.frag", tmp_path / "ref.frag"
+    fragio.save_fragments(observed, frag)
+    ref.save_fragments(observed, expected)
+    assert frag.read_bytes() == expected.read_bytes()
+    assert fragio.load_fragments(frag) == ref.load_fragments(frag) == observed
+    truth, expected = tmp_path / "saved.truth", tmp_path / "ref.truth"
+    fragio.save_truth(h, c, truth)
+    ref.save_truth(h, c, expected)
+    assert truth.read_bytes() == expected.read_bytes()
+    assert fragio.load_truth(truth) == (h, c)
+    assert fragio.format_signs(h.to_array()) == ref.format_signs(h.alleles)
+    assert fragio.format_signs(c.to_array()) == ref.format_signs(c.members)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import signal
 from multiprocessing.connection import wait
 
@@ -24,8 +25,10 @@ from haplosim.fragio import (
     ColumnOrderError,
     DimensionError,
     DuplicateColumnError,
+    FragmentFormatError,
     HeaderError,
     load_fragments,
+    load_truth,
     save_fragments,
 )
 
@@ -233,6 +236,35 @@ class TestFragmentFiles:
             load_fragments(path)
         assert info.value.line >= 1
 
+    @pytest.mark.parametrize(
+        "content,error,message",
+        [
+            # numbers only as unsigned decimals without leading zeros
+            ("1 3\n00: 01:1 2:0\n", FragmentFormatError, "line 3: bad row index '00:'"),
+            ("1 3\n+0: +1:1\n", FragmentFormatError, "line 3: bad row index '+0:'"),
+            ("1 12\n0: 1_0:1\n", FragmentFormatError, "line 3: bad column index '1_0'"),
+            ("1 3\n0: 01:1\n", FragmentFormatError, "line 3: bad column index '01'"),
+            ("+1 3\n0: 1:1\n", DimensionError, "line 2: expected '<m> <n>', got '+1 3'"),
+            ("1 03\n0: 1:1\n", DimensionError, "line 2: expected '<m> <n>', got '1 03'"),
+            # LF line ends only
+            ("1 3\r\n0: 1:1\r\n", DimensionError, "line 2: expected '<m> <n>', got '1 3\\r'"),
+            ("1 3\n0: 1:1\r\n", AlleleError, "line 3: allele must be 0 or 1, got '1\\r'"),
+        ],
+    )
+    def test_forms_the_writer_never_writes_are_rejected(self, tmp_path, content, error, message):
+        path = tmp_path / "strict.frag"
+        path.write_bytes(b"#haplofrag v1\n" + content.encode("ascii"))
+        with pytest.raises(error) as info:
+            load_fragments(path)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_non_ascii_is_a_value_error(self, tmp_path):
+        path = tmp_path / "latin.frag"
+        path.write_bytes("#haplofrag v1\n1 2\n0: 0:1 1:\u00e9\n".encode("utf-8"))
+        with pytest.raises(UnicodeDecodeError):
+            load_fragments(path)
+
     def test_duplicate_column_reports_line(self, tmp_path):
         # column structure is checked before allele values, so the repeated
         # column 2 wins over the bad allele in '2:5'
@@ -241,6 +273,33 @@ class TestFragmentFiles:
         with pytest.raises(DuplicateColumnError) as info:
             load_fragments(path)
         assert info.value.line == 4
+
+
+class TestTruthFiles:
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("1 -1\n+1\n", "'1'"),  # tokens carry their sign
+            ("+1 01\n+1\n", "'01'"),
+            ("+1 -1\n+01\n", "'+01'"),
+            ("+1 -1\n+1.0\n", "'+1.0'"),
+            ("+1  -1\n+1\n", "''"),  # single spaces only
+            ("+1\t-1\n+1\n", "'+1\\t-1'"),
+            ("+1 -1\r\n+1\r\n", "'-1\\r'"),  # LF line ends only
+        ],
+    )
+    def test_tokens_other_than_plus_or_minus_one_are_rejected(self, tmp_path, text, token):
+        path = tmp_path / "bad.truth"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ValueError, match="line [12]: expected \\+1 or -1, got " + re.escape(token)):
+            load_truth(path)
+
+    @pytest.mark.parametrize("text", ["+1 -1\n", "+1 -1\n+1\n-1\n", ""])
+    def test_exactly_two_lines(self, tmp_path, text):
+        path = tmp_path / "lines.truth"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(ValueError, match="needs two lines"):
+            load_truth(path)
 
 
 class TestConfigText:
@@ -270,6 +329,7 @@ class TestConfigText:
 
     def test_all_problems_reported(self):
         text = """
+        trials = abc
         [cell]
         n = 50
         [cell]
@@ -282,6 +342,7 @@ class TestConfigText:
             parse_config_text(text)
         message = str(info.value)
         assert "cell 0" in message and "banana" in message
+        assert "line 2: bad value for 'trials': 'abc'" in message
 
     def test_empty_text_is_empty_grid(self):
         with pytest.raises(ValueError):

@@ -6,13 +6,16 @@ On them sit the row-by-row Python versions of the array code: `encode` and
 `project` for the masked rank-1 source, `sample_mask` for the channel's
 positions, a queue-driven walk and a union-find for the erasure decoder,
 dict tallies for the vote adjacency, a per-row sum for membership
-inference, and the line-by-line fragment file codec. `incidence_graph` is
+inference, and the line-by-line fragment and truth file codecs, whose
+reader takes only what the writer writes: unsigned decimals without
+leading zeros, single spaces, LF line ends. `incidence_graph` is
 the stable-argsort construction of the erasure decoder's read/column
 graph, the oracle for the CSC transpose that replaced it.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import combinations
 from pathlib import Path
@@ -237,8 +240,25 @@ def save_fragments(matrix: ReadMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
+def format_signs(values) -> str:
+    return " ".join("+1" if v == 1 else "-1" for v in values)
+
+
+def save_truth(h: Haplotype, c: MembershipVector, path: str | Path) -> None:
+    Path(path).write_text(
+        format_signs(h.alleles) + "\n" + format_signs(c.members) + "\n", encoding="ascii", newline="\n"
+    )
+
+
+def _decimal(token: str) -> int:
+    """int(token) for an unsigned decimal without leading zeros; ValueError otherwise."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", token):
+        raise ValueError(token)
+    return int(token)
+
+
 def load_fragments(path: str | Path) -> ReadMatrix:
-    text = Path(path).read_text(encoding="ascii")
+    text = Path(path).read_bytes().decode("ascii")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -247,13 +267,11 @@ def load_fragments(path: str | Path) -> ReadMatrix:
     if len(lines) < 2:
         raise DimensionError("missing dimension line", 2)
     dims = lines[1].split(" ")
-    if len(dims) != 2:
-        raise DimensionError(f"expected '<m> <n>', got {lines[1]!r}", 2)
     try:
-        m, n = int(dims[0]), int(dims[1])
+        m, n = (_decimal(d) for d in dims)  # a count other than two raises ValueError too
     except ValueError:
-        raise DimensionError(f"non-integer dimensions {lines[1]!r}", 2) from None
-    if m < 0 or n < 1:
+        raise DimensionError(f"expected '<m> <n>', got {lines[1]!r}", 2) from None
+    if n < 1:
         raise DimensionError(f"bad dimensions m={m}, n={n}", 2)
     if len(lines) - 2 != m:
         raise DimensionError(f"header declares {m} rows but file has {len(lines) - 2}", 2)
@@ -265,7 +283,7 @@ def load_fragments(path: str | Path) -> ReadMatrix:
         if not tokens or not tokens[0].endswith(":"):
             raise FragmentFormatError(f"expected '<row>:' prefix, got {line!r}", lineno)
         try:
-            row_index = int(tokens[0][:-1])
+            row_index = _decimal(tokens[0][:-1])
         except ValueError:
             raise FragmentFormatError(f"bad row index {tokens[0]!r}", lineno) from None
         if row_index != offset:
@@ -281,7 +299,7 @@ def load_fragments(path: str | Path) -> ReadMatrix:
             if not sep:
                 raise FragmentFormatError(f"expected '<col>:<a>', got {token!r}", lineno)
             try:
-                col = int(col_str)
+                col = _decimal(col_str)
             except ValueError:
                 raise FragmentFormatError(f"bad column index {col_str!r}", lineno) from None
             if not 0 <= col < n:
