@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -206,7 +207,6 @@ def _cmd_experiment(args, parser) -> int:
     if args.threads < 1:
         _say(f"--threads must be >= 1, got {args.threads}")
         return EXIT_USAGE
-    import os
 
     # the CSV is written after the sweep, which can run for minutes
     out_dir = os.path.dirname(args.out) or "."
@@ -287,6 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # scipy's BLAS calls here work on n x 20 Lanczos blocks, where a second
+    # OpenBLAS thread mostly spin-waits, and decodes running at once in one
+    # process would queue on one shared pool. OpenBLAS reads the variable
+    # once, when scipy's linear algebra first loads; in a CLI process that
+    # happens after this line
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 
@@ -496,3 +497,24 @@ def test_import_leaves_scipy_special_and_stats_unloaded():
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_main_starts_scipy_blas_on_one_thread(preset, expected):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when scipy's linear algebra
+    # loads, so main's one-thread default holds only if a fresh
+    # `import haplosim.cli` has not loaded it; a value already set is kept
+    probe = (
+        "import os, sys, haplosim.cli as cli; "
+        "early = [m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules]; "
+        "code = cli.main(['analyze', '--what', 'e1', '--n', '3', '--m', '2']); "
+        "print(early, code, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"[] 0 {expected}"
