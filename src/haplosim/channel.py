@@ -51,6 +51,8 @@ class ChannelConfig:
             raise ValueError(f"k must be in [2, n], got k={self.k}, n={self.n}")
         if not 0.0 <= self.p <= 0.5:
             raise ValueError(f"p must be in [0, 0.5], got {self.p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -59,21 +61,25 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def _draw_columns(cfg: ChannelConfig, rng: np.random.Generator) -> np.ndarray:
-    """(m, k) array of sorted surviving columns, one uniform k-subset per row.
+    """(m, k) int32 array of sorted surviving columns, one uniform k-subset
+    per row.
 
     k=2 avoids the per-row choice() loop: the second column is drawn
     uniformly from the n-1 remaining slots, which is exactly uniform over
-    unordered pairs.
+    unordered pairs. The draws are int64; they are narrowed once ordered.
     """
     if cfg.k == 2:
         first = rng.integers(0, cfg.n, size=cfg.m)
         second = rng.integers(0, cfg.n - 1, size=cfg.m)
-        second = second + (second >= first)
-        return np.stack([np.minimum(first, second), np.maximum(first, second)], axis=1)
+        second += second >= first
+        cols = np.empty((cfg.m, 2), dtype=np.int32)
+        np.minimum(first, second, out=cols[:, 0])
+        np.maximum(first, second, out=cols[:, 1])
+        return cols
     if cfg.k == cfg.n:
-        return np.tile(np.arange(cfg.n), (cfg.m, 1))
+        return np.tile(np.arange(cfg.n, dtype=np.int32), (cfg.m, 1))
     keys = rng.random((cfg.m, cfg.n))
-    return np.sort(np.argpartition(keys, cfg.k, axis=1)[:, : cfg.k], axis=1)
+    return np.sort(np.argpartition(keys, cfg.k, axis=1)[:, : cfg.k], axis=1).astype(np.int32)
 
 
 def transmit(
@@ -93,10 +99,11 @@ def transmit(
         )
     rng = make_rng(cfg.seed)
     cols = _draw_columns(cfg, rng)
-    values = c.to_array()[:, None] * h.to_array()[cols]
+    values = h.to_array()[cols]
+    values *= c.to_array()[:, None]
     if cfg.p > 0.0:
         flipped = rng.random((cfg.m, cfg.k)) < cfg.p
-        values = np.where(flipped, -values, values)
+        np.negative(values, out=values, where=flipped)
     else:
         flipped = np.zeros((cfg.m, cfg.k), dtype=bool)
     indptr = np.arange(0, cfg.m * cfg.k + 1, cfg.k)

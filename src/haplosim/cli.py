@@ -13,6 +13,7 @@ to standard error. Exit codes: 0 success (exact when --truth is given),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -41,11 +42,17 @@ def _emit(key: str, value) -> None:
 def _cmd_simulate(args, parser) -> int:
     if (args.m is None) == (args.coverage is None):
         parser.error("exactly one of --m or --coverage is required")
-    m = args.m if args.m is not None else max(1, math.ceil(args.coverage * args.n / args.k))
     try:
+        m = args.m
+        if m is None:
+            if not math.isfinite(args.coverage):
+                raise ValueError(f"--coverage must be finite, got {args.coverage}")
+            # ChannelConfig rejects a k below 2; k=0 must not divide first
+            m = max(1, math.ceil(args.coverage * args.n / args.k)) if args.k > 0 else 1
         cfg = channel.ChannelConfig(n=args.n, m=m, k=args.k, p=args.p, seed=args.seed)
     except ValueError as exc:
-        parser.error(str(exc))
+        _say(f"simulate: {exc}")
+        return EXIT_USAGE
     root = np.random.SeedSequence(entropy=args.seed, spawn_key=(0,))
     truth_ss, channel_ss = root.spawn(2)
     rng = np.random.Generator(np.random.Philox(truth_ss))
@@ -56,11 +63,15 @@ def _cmd_simulate(args, parser) -> int:
         seed=int(channel_ss.generate_state(1, dtype=np.uint64)[0]),
     )
     observed, flipped = channel.transmit(h, c, cfg)
+    written = []  # removed again if a later write fails, so exit 2 leaves no files
     try:
         fragio.save_fragments(observed, args.out)
+        written.append(args.out)
         if args.truth:
             fragio.save_truth(h, c, args.truth)
     except OSError as exc:
+        for path in written:
+            os.remove(path)
         _say(f"cannot write: {exc}")
         return EXIT_USAGE
     _emit("n", cfg.n)
@@ -213,6 +224,9 @@ def _cmd_experiment(args, parser) -> int:
     if not os.path.isdir(out_dir):
         _say(f"cannot write CSV to {args.out}: no directory {out_dir}")
         return EXIT_USAGE
+    if os.path.isdir(args.out):
+        _say(f"cannot write CSV to {args.out}: it is a directory")
+        return EXIT_USAGE
     summaries = experiments.run(config, threads=args.threads, measure_time=not args.no_timing)
     try:
         experiments.emit_csv(summaries, args.out)
@@ -229,7 +243,10 @@ def _cmd_experiment(args, parser) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so calls in several threads can share it."""
     parser = argparse.ArgumentParser(prog="haplosim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -76,6 +76,8 @@ class Cell:
             raw = self.kappa_or_c * self.n / self.k
         else:
             raise ValueError(f"unknown m_rule {self.m_rule!r}")
+        if not math.isfinite(raw):
+            raise ValueError(f"kappa_or_c={self.kappa_or_c} gives a read count that is not finite")
         return max(1, math.ceil(raw))
 
     def decoders(self) -> tuple[str, ...]:
@@ -91,6 +93,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.cells:
             raise ValueError("experiment grid is empty")
         problems = []

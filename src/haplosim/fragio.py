@@ -227,7 +227,8 @@ def load_fragments(path: str | Path) -> ReadMatrix:
     indptr = np.zeros(m + 1, np.int64)
     np.cumsum(np.bincount(col_line, minlength=m), out=indptr[1:])
     alleles = (data[sep[col_at] + 1] - _ZERO).astype(np.int8) * 2 - 1
-    return ReadMatrix(n, indptr, cols, alleles)
+    # every column is below n, and ReadMatrix rejects an n beyond int32 first
+    return ReadMatrix(n, indptr, cols.astype(np.int32), alleles)
 
 
 def _sign_cells(values) -> np.ndarray:

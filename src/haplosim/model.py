@@ -88,40 +88,64 @@ class MembershipVector(_SignVector):
     members = property(lambda self: self._values)
 
 
+def _index_dtype(bound: int) -> type:
+    """int32 for indices and offsets that all lie below `bound` if int32 holds
+    them, else int64."""
+    return np.int32 if bound <= _MAX_COLS else np.int64
+
+
+def _integers(array) -> np.ndarray:
+    """`array` as an ndarray of integers: integer arrays keep their dtype,
+    anything else (lists, object or float arrays) goes through int64."""
+    array = np.asarray(array)
+    return array if array.dtype.kind in "iu" else np.asarray(array, dtype=np.int64)
+
+
+def _first_bad_entry(num_cols: int, indptr, indices, values) -> int | None:
+    """Storage position of the first entry with a column outside [0, num_cols),
+    a column not above its row predecessor's, or an allele other than +/-1."""
+    bad = values != 1
+    bad &= values != -1
+    bad |= indices < 0
+    bad |= indices >= num_cols
+    row_start = np.zeros(indices.size + 1, dtype=bool)  # entry e begins a row
+    row_start[indptr] = True  # empty rows repeat an offset, trailing ones hit the end
+    bad[1:] |= (indices[1:] <= indices[:-1]) & ~row_start[1:-1]
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 class ReadMatrix:
     """Sparse m x n observation matrix in CSR form.
 
     Row i stores entries indptr[i]:indptr[i+1] of `indices` (0-based
     columns, strictly increasing within the row, int32) and `values`
-    (alleles +1/-1, int8). A position absent from its row is erased. The
-    arrays are validated, copied to those dtypes and made read-only; a
-    num_cols whose column indices would not fit int32 is rejected before
-    any array is built.
+    (alleles +1/-1, int8); `indptr` is int32, or int64 once m or the entry
+    count reaches 2^31. A position absent from its row is erased. Integer
+    arrays are checked in their own dtype, anything else as int64; each
+    array is then copied once to its dtype and made read-only. A num_cols
+    whose column indices would not fit int32 is rejected before any array
+    is built.
     """
 
     def __init__(self, num_cols: int, indptr, indices, values) -> None:
         if not 1 <= num_cols <= _MAX_COLS:
             raise ValueError(f"num_cols must be in [1, {_MAX_COLS}], got {num_cols}")
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        if indptr[:1].tolist() != [0] or np.any(np.diff(indptr) < 0) or not (
+        indptr, indices, values = _integers(indptr), _integers(indices), _integers(values)
+        if indptr[:1].tolist() != [0] or np.any(indptr[1:] < indptr[:-1]) or not (
             indptr.ndim == indices.ndim == 1 and indptr[-1] == indices.size == values.size
         ):
             raise ValueError("inconsistent CSR arrays")
-        self.num_cols = int(num_cols)
-        self.indptr = indptr
-        rows = self.entry_rows()
-        bad = (indices < 0) | (indices >= num_cols) | ((values != 1) & (values != -1))
-        bad[1:] |= (indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])
-        if bad.any():
-            e = int(np.argmax(bad))
+        e = _first_bad_entry(num_cols, indptr, indices, values)
+        if e is not None:
+            row = int(np.searchsorted(indptr, e, side="right")) - 1
             raise ValueError(
-                f"row {rows[e]}: entry ({indices[e]}, {values[e]}) needs a column in "
+                f"row {row}: entry ({int(indices[e])}, {int(values[e])}) needs a column in "
                 f"[0, {num_cols}) above the previous one and an allele of +1 or -1"
             )
-        self.indices = indices.astype(np.int32)
-        self.values = values.astype(np.int8)
+        self.num_cols = int(num_cols)
+        self.indptr = np.array(indptr, dtype=_index_dtype(max(indptr.size, indices.size + 1)))
+        self.indices = np.array(indices, dtype=np.int32)
+        self.values = np.array(values, dtype=np.int8)
         for array in (self.indptr, self.indices, self.values):
             array.setflags(write=False)
 
@@ -144,8 +168,8 @@ class ReadMatrix:
         return self.indptr.size - 1
 
     def entry_rows(self) -> np.ndarray:
-        """Row index of every stored entry, in storage order."""
-        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+        """Row index of every stored entry, in storage order, in indptr's dtype."""
+        return np.repeat(np.arange(self.num_rows, dtype=self.indptr.dtype), np.diff(self.indptr))
 
 
 # Failure reasons carried by RecoveryResult.

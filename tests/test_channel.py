@@ -44,6 +44,7 @@ class TestConfig:
             dict(n=1, m=3),
             dict(n=6, m=8, p=0.6),
             dict(n=6, m=8, p=-0.1),
+            dict(n=6, m=8, seed=-1),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -4,14 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tuple_reference as ref
-from haplosim import erasure, experiments, spectral
-from haplosim.cli import main
+from haplosim import channel, erasure, experiments, spectral
+from haplosim.cli import build_parser, main
 from haplosim.fragio import MAGIC, load_fragments, save_fragments, save_truth
 
 
@@ -94,6 +96,35 @@ class TestSimulate:
         assert code == 2
         assert stdout == ""
         assert len(stderr.splitlines()) == 1 and "missing" in stderr
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--m", "5", "--seed", "-1"], "seed must be >= 0"),
+            (["--coverage", "inf"], "--coverage must be finite"),
+            (["--coverage", "nan"], "--coverage must be finite"),
+            (["--coverage", "2", "--k", "0"], "k must be in [2, n]"),
+        ],
+        ids=["negative-seed", "infinite-coverage", "nan-coverage", "zero-k-coverage"],
+    )
+    def test_bad_seed_or_read_count_is_usage_error(self, capsys, tmp_path, flags, message):
+        out = tmp_path / "x.frag"
+        code, stdout, stderr = run_cli(capsys, "simulate", "--n", "10", *flags, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and message in stderr
+        assert not out.exists()
+
+    def test_unwritable_truth_leaves_no_fragment_file(self, capsys, tmp_path):
+        out = tmp_path / "keep.frag"
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--n", "10", "--m", "20", "--seed", "1",
+            "--out", str(out), "--truth", str(tmp_path / "missing" / "t"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1
+        assert not out.exists()
 
     def test_coverage_sets_read_count(self, capsys, tmp_path):
         out = tmp_path / "c.frag"
@@ -435,17 +466,55 @@ class TestExperiment:
         assert "empty" in stderr
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "missing" / "x.csv"
+        stderr = self.refused(
+            capsys, monkeypatch, "--preset", "fig4", "--trials", "1", "--out", str(out)
+        )
+        assert len(stderr.splitlines()) == 1 and "x.csv" in stderr
+
+    @staticmethod
+    def refused(capsys, monkeypatch, *argv):
+        """stderr of an `experiment` call that must exit 2 before any trial runs."""
+
         def sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran before the output was checked")
+            raise AssertionError("the sweep ran before the arguments were checked")
 
         monkeypatch.setattr(experiments, "run", sweep)
-        out = tmp_path / "missing" / "x.csv"
-        code, stdout, stderr = run_cli(
-            capsys, "experiment", "--preset", "fig4", "--trials", "1", "--out", str(out)
-        )
+        code, stdout, stderr = run_cli(capsys, "experiment", *argv)
         assert code == 2
         assert stdout == ""
-        assert len(stderr.splitlines()) == 1 and "x.csv" in stderr
+        return stderr
+
+    def test_out_naming_a_directory_is_refused(self, capsys, tmp_path, monkeypatch):
+        stderr = self.refused(
+            capsys, monkeypatch, "--preset", "fig4", "--trials", "1", "--out", str(tmp_path)
+        )
+        assert len(stderr.splitlines()) == 1 and "is a directory" in stderr
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        stderr = self.refused(
+            capsys, monkeypatch, "--preset", "fig4", "--trials", "1", "--seed", "-1",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert len(stderr.splitlines()) == 1 and "base_seed must be >= 0" in stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[cell]\nn = 20\nm_rule = nlogn\nkappa_or_c = inf\np = 0\n", "not finite"),
+            ("[cell]\nn = 20\nm_rule = linear\nkappa_or_c = 1e308\np = 0\n", "not finite"),
+            ("base_seed = -1\n[cell]\nn = 20\nm_rule = nlogn\nkappa_or_c = 2\np = 0\n",
+             "base_seed must be >= 0"),
+        ],
+        ids=["infinite-kappa", "overflowing-kappa", "negative-base-seed"],
+    )
+    def test_config_with_bad_seed_or_read_count(self, capsys, tmp_path, monkeypatch, text, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(text)
+        stderr = self.refused(
+            capsys, monkeypatch, "--config", str(config), "--out", str(tmp_path / "x.csv")
+        )
+        assert message in stderr.splitlines()[-1]
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_usage_error(self, capsys, tmp_path, threads):
@@ -473,6 +542,38 @@ class TestExperiment:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+def test_threads_sharing_the_parser_each_print_their_own_stdout():
+    # threads calling main() at once, as two benchmark clients do, share one
+    # parser; each call must still print its own answer. More threads than
+    # cores and a short switch interval make interleaved parses likely
+    class PerThreadStdout(io.TextIOBase):
+        local = threading.local()
+
+        def writable(self):
+            return True
+
+        def write(self, text):
+            return self.local.buf.write(text)
+
+    stream = PerThreadStdout()
+
+    def call(n_m):
+        stream.local.buf = out = io.StringIO()
+        code = main(["analyze", "--what", "e1", "--n", str(n_m[0]), "--m", str(n_m[1])])
+        return code, out.getvalue()
+
+    calls = [(n, m) for n in range(3, 13) for m in range(1, 201)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with contextlib.redirect_stdout(stream), ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(call, calls, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert build_parser() is build_parser()
+    assert results == [(0, f"e1={channel.prob_uncovered_column(n, m)!r}\n") for n, m in calls]
 
 
 def test_console_script_wiring():

@@ -6,6 +6,7 @@ with free signs, so they cover p > 0, uncovered columns, disconnected
 splits and conflicts.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -66,15 +67,32 @@ def test_erasure_decode_matches_walk(matrix, strict):
 
 
 @DIFF
+@given(read_matrices(max_n=12, max_m=24), st.booleans())
+@example(ref.read_matrix(5, (((0, 1), (1, 1)), ((2, 1), (3, -1)))), False)
+@example(ref.read_matrix(4, (((0, 1), (1, 1)), ((0, 1), (1, -1)), ((2, 1), (3, 1)))), True)
+@example(ref.read_matrix(4, (((0, 1), (1, 1)), ((2, 1), (3, 1)), ((2, 1), (3, -1)))), True)
+# a path read 0 - column 0 - read 1 - ... deep enough for several pointer jumps
+@example(ref.read_matrix(9, tuple(((j, 1), (j + 1, -1)) for j in range(8))), False)
+def test_erasure_decode_matches_lookup_version(matrix, strict):
+    # tree signs taken from the entries give the result, failure and
+    # mismatch count of the allele-weighted graph and its sparse lookup
+    assert outcome(erasure.decode, matrix, strict=strict) == outcome(
+        ref.lookup_erasure_decode, matrix, strict=strict
+    )
+
+
+@DIFF
 @given(read_matrices())
 # uncovered columns 1 and 3, an empty row, and two reads in column 0
 @example(ref.read_matrix(4, (((0, 1), (2, -1)), (), ((0, -1),))))
 def test_incidence_graph_matches_argsort_transpose(matrix):
+    # the decoder's graph is a pattern: the oracle's structure, every weight 1.0
     graph, expected = erasure._incidence_graph(matrix), ref.incidence_graph(matrix)
     assert graph.shape == expected.shape
-    assert graph.data.dtype == expected.data.dtype
-    for part in ("indptr", "indices", "data"):
+    for part in ("indptr", "indices"):
         assert getattr(graph, part).tolist() == getattr(expected, part).tolist()
+    assert graph.data.dtype == np.float64
+    assert graph.data.tolist() == [1.0] * expected.nnz
 
 
 @DIFF

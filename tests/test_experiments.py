@@ -55,6 +55,18 @@ class TestCell:
         with pytest.raises(ValueError):
             ExperimentConfig(())
 
+    @pytest.mark.parametrize("rule", ["linear", "nlogn", "coverage"])
+    @pytest.mark.parametrize("kappa", [math.inf, 1e308])
+    def test_read_count_that_is_not_finite_is_a_value_error(self, rule, kappa):
+        cell = Cell(100, rule, kappa, 0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            cell.reads()
+        assert any("not finite" in problem for problem in cell.validate())
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ValueError, match="base_seed must be >= 0"):
+            ExperimentConfig((Cell(20, "nlogn", 2.0, 0.0),), trials=1, base_seed=-1)
+
 
 class TestWilson:
     @pytest.mark.parametrize("successes,trials", [(0, 10), (10, 10), (7, 10), (1, 500)])

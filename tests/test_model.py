@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,101 @@ class TestTypes:
     def test_read_matrix_repr_shows_the_arrays(self):
         matrix = ref.read_matrix(3, (((0, 1), (2, -1)), ()))
         assert repr(matrix) == "ReadMatrix(3, [0, 2, 2], [0, 2], [1, -1])"
+
+
+INTEGER_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint32, object)
+
+
+def entry_problem(num_cols, indptr, indices, values):
+    """The message for the first bad entry, found row by row, or None."""
+    for i in range(len(indptr) - 1):
+        for e in range(indptr[i], indptr[i + 1]):
+            j, a = indices[e], values[e]
+            if not (0 <= j < num_cols and (e == indptr[i] or j > indices[e - 1]) and a in (1, -1)):
+                return (
+                    f"row {i}: entry ({j}, {a}) needs a column in [0, {num_cols}) "
+                    "above the previous one and an allele of +1 or -1"
+                )
+    return None
+
+
+def as_dtype(values, dtype):
+    """values in dtype, or None if dtype cannot hold them."""
+    if dtype is not object and values and not (
+        np.iinfo(dtype).min <= min(values) and max(values) <= np.iinfo(dtype).max
+    ):
+        return None
+    return np.array(values, dtype=dtype)
+
+
+@st.composite
+def csr_inputs(draw):
+    """CSR triples over 5 columns with empty rows anywhere; many are invalid."""
+    widths = draw(st.lists(st.integers(0, 3), max_size=6))
+    indptr = np.cumsum([0, *widths]).tolist()
+    indices = draw(st.lists(st.integers(-2, 6), min_size=indptr[-1], max_size=indptr[-1]))
+    alleles = st.sampled_from([1, -1, 1, -1, 0, 2])
+    values = draw(st.lists(alleles, min_size=indptr[-1], max_size=indptr[-1]))
+    return indptr, indices, values
+
+
+class TestReadMatrixInputs:
+    # rows 0, 2, 4 and 5 are empty: at the start, in the middle and at the end
+    INDPTR, INDICES, VALUES = [0, 0, 2, 2, 3, 3, 3], [1, 4, 0], [1, -1, -1]
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=str)
+    def test_stores_one_read_only_copy_in_the_fixed_dtypes(self, dtype):
+        arrays = [np.array(a, dtype=dtype) for a in (self.INDPTR, self.INDICES)]
+        arrays.append(np.array(self.VALUES, dtype=np.int8 if dtype is np.uint32 else dtype))
+        matrix = ReadMatrix(5, *arrays)
+        for array in arrays:
+            array[-1] = 0  # the matrix holds copies
+        assert matrix == ReadMatrix(5, self.INDPTR, self.INDICES, self.VALUES)
+        assert (matrix.indptr.dtype, matrix.indices.dtype, matrix.values.dtype) == (
+            np.int32, np.int32, np.int8,
+        )
+        assert not any(a.flags.writeable for a in (matrix.indptr, matrix.indices, matrix.values))
+        assert matrix.entry_rows().tolist() == [1, 1, 3]
+
+    def test_a_row_may_restart_below_the_last_column_across_empty_rows(self):
+        matrix = ReadMatrix(5, [0, 0, 1, 1, 2, 2], [4, 0], [1, 1])
+        assert ref.rows(matrix) == ((), ((4, 1),), (), ((0, 1),), ())
+
+    @pytest.mark.parametrize(
+        "indptr, indices, values, message",
+        [
+            ([0, 0, 2, 2], [3, 1], [1, 1], "row 1: entry (1, 1) needs a column in [0, 5) above"),
+            ([0, 1, 2, 2, 2], [0, 5], [1, 1], "row 1: entry (5, 1) needs a column in [0, 5) above"),
+            ([0, 0, 0, 1], [2], [0], "row 2: entry (2, 0) needs a column in [0, 5) above"),
+            ([0, 2, 2], [2, 2], [1, -1], "row 0: entry (2, -1) needs a column in [0, 5) above"),
+            ([1, 2], [0], [1], "inconsistent CSR arrays"),
+            ([0, 2, 1], [0, 1], [1, 1], "inconsistent CSR arrays"),
+            ([0, 2], [0, 1, 2], [1, 1, 1], "inconsistent CSR arrays"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=str)
+    def test_messages_do_not_depend_on_the_dtype(self, dtype, indptr, indices, values, message):
+        arrays = [np.array(a, dtype=dtype) for a in (indptr, indices)]
+        arrays.append(np.array(values, dtype=np.int8 if dtype is np.uint32 else dtype))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReadMatrix(5, *arrays)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csr_inputs())
+    def test_checks_match_a_row_by_row_walk_in_every_dtype(self, csr):
+        indptr, indices, values = csr
+        expected = entry_problem(5, indptr, indices, values)
+        for dtype in INTEGER_DTYPES:
+            arrays = [as_dtype(a, dtype) for a in csr]
+            if any(a is None for a in arrays):
+                continue
+            if expected is None:
+                matrix = ReadMatrix(5, *arrays)
+                assert (matrix.indptr.tolist(), matrix.indices.tolist(), matrix.values.tolist()) == csr
+            else:
+                with pytest.raises(ValueError) as info:
+                    ReadMatrix(5, *arrays)
+                assert str(info.value) == expected
 
 
 class TestEncode:

@@ -10,7 +10,9 @@ inference, and the line-by-line fragment and truth file codecs, whose
 reader takes only what the writer writes: unsigned decimals without
 leading zeros, single spaces, LF line ends. `incidence_graph` is
 the stable-argsort construction of the erasure decoder's read/column
-graph, the oracle for the CSC transpose that replaced it.
+graph, with the alleles as weights, the oracle for the CSC transpose that
+replaced it; `lookup_erasure_decode` is the decoder that searched that
+weighted graph and looked each tree edge's sign up in it.
 """
 
 from __future__ import annotations
@@ -208,6 +210,49 @@ def erasure_decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
     membership = MembershipVector(tuple(c))
     mismatches = sum(1 for i, j, r in entries(matrix) if c[i] * h[j] != r)
     return RecoveryResult(estimate, membership, meta={"mismatches": mismatches})
+
+
+def lookup_erasure_decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
+    """The array erasure decoder as it stood before its tree signs came from
+    the entries: a search over `incidence_graph`, whose weights are the
+    alleles, then a sparse lookup of each tree edge's weight."""
+    from scipy.sparse.csgraph import breadth_first_order
+
+    m, n = matrix.num_rows, matrix.num_cols
+    if m == 0:
+        raise ValueError("cannot decode an empty read matrix")
+    lengths = np.diff(matrix.indptr)
+    if not lengths.all():
+        raise ValueError(f"row {int(np.argmin(lengths))} has no observations")
+    uncovered = np.flatnonzero(np.bincount(matrix.indices, minlength=n) == 0)
+    if uncovered.size:
+        return RecoveryResult(None, None, reason=UNCOVERED_COLUMN, column=int(uncovered[0]))
+
+    graph = incidence_graph(matrix)
+    order, parent = breadth_first_order(graph, 0, directed=True, return_predecessors=True)
+    child = order[1:]
+    up = np.arange(m + n)
+    up[child] = parent[child]
+    sign = np.zeros(m + n, dtype=np.int8)
+    sign[0] = 1
+    sign[child] = np.asarray(graph[up[child], child]).ravel()
+    while np.any(up[up] != up):
+        sign = sign * sign[up]
+        up = up[up]
+    c, h = sign[:m], sign[m:]
+
+    entry_rows = matrix.entry_rows()
+    implied = c[entry_rows] * matrix.values
+    if strict and np.any(implied != h[matrix.indices]):
+        return RecoveryResult(None, None, reason=INCONSISTENT)
+    if order.size < m + n:
+        return RecoveryResult(None, None, reason=DISCONNECTED)
+
+    if not strict:
+        votes = np.bincount(matrix.indices, weights=implied, minlength=n)
+        h = np.where(votes >= 0, 1, -1)
+    mismatches = int(np.count_nonzero(c[entry_rows] * h[matrix.indices] != matrix.values))
+    return RecoveryResult(Haplotype(h), MembershipVector(c), meta={"mismatches": mismatches})
 
 
 def adjacency_tallies(matrix: ReadMatrix) -> dict[tuple[int, int], tuple[float, float]]:
