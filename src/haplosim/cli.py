@@ -6,8 +6,10 @@ decoder on a fragment file), analyze (closed-form quantities), experiment
 
 Standard out carries machine-parseable `key=value` lines only; prose goes
 to standard error. Exit codes: 0 success (exact when --truth is given),
-1 decoded but not exact, 2 usage or parse error (or out of memory),
-3 decoding failure, 4 eigen non-convergence.
+1 decoded but not exact, 2 bad input (usage, parse or value error, a file
+that cannot be read or written, or out of memory), 3 decoding failure,
+4 eigen non-convergence, 5 a sweep worker process was lost (a rerun may
+succeed).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import functools
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +32,16 @@ EXIT_INEXACT = 1
 EXIT_USAGE = 2
 EXIT_DECODE_FAILURE = 3
 EXIT_NON_CONVERGED = 4
+EXIT_WORKER_LOST = 5
+
+# the error a command raises decides its exit code and one stderr line,
+# `<command>: <message>`; the first row whose classes match wins
+_EXIT_CODES = (
+    (NonConvergedError, EXIT_NON_CONVERGED, "FAILURE NonConverged: {}"),
+    (experiments.WorkerLostError, EXIT_WORKER_LOST, "{}"),
+    (MemoryError, EXIT_USAGE, "out of memory; the input is too large for this machine"),
+    ((OSError, ValueError, OverflowError), EXIT_USAGE, "{}"),  # ValueError: FragmentFormatError too
+)
 
 
 def _say(message: str) -> None:
@@ -39,20 +52,26 @@ def _emit(key: str, value) -> None:
     print(f"{key}={value}")
 
 
+def _load(read, path):
+    """read(path), naming the file in any error that reading or parsing it raises."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load {path}: {exc}") from exc
+
+
 def _cmd_simulate(args, parser) -> int:
     if (args.m is None) == (args.coverage is None):
         parser.error("exactly one of --m or --coverage is required")
-    try:
-        m = args.m
-        if m is None:
-            if not math.isfinite(args.coverage):
-                raise ValueError(f"--coverage must be finite, got {args.coverage}")
-            # ChannelConfig rejects a k below 2; k=0 must not divide first
-            m = max(1, math.ceil(args.coverage * args.n / args.k)) if args.k > 0 else 1
-        cfg = channel.ChannelConfig(n=args.n, m=m, k=args.k, p=args.p, seed=args.seed)
-    except ValueError as exc:
-        _say(f"simulate: {exc}")
-        return EXIT_USAGE
+    if args.truth and os.path.realpath(args.truth) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --truth name the same file {args.out}")
+    m = args.m
+    if m is None:
+        if not math.isfinite(args.coverage):
+            raise ValueError(f"--coverage must be finite, got {args.coverage}")
+        # ChannelConfig rejects a k below 2; k=0 must not divide first
+        m = max(1, math.ceil(args.coverage * args.n / args.k)) if args.k > 0 else 1
+    cfg = channel.ChannelConfig(n=args.n, m=m, k=args.k, p=args.p, seed=args.seed)
     root = np.random.SeedSequence(entropy=args.seed, spawn_key=(0,))
     truth_ss, channel_ss = root.spawn(2)
     rng = np.random.Generator(np.random.Philox(truth_ss))
@@ -63,17 +82,13 @@ def _cmd_simulate(args, parser) -> int:
         seed=int(channel_ss.generate_state(1, dtype=np.uint64)[0]),
     )
     observed, flipped = channel.transmit(h, c, cfg)
-    written = []  # removed again if a later write fails, so exit 2 leaves no files
-    try:
-        fragio.save_fragments(observed, args.out)
-        written.append(args.out)
-        if args.truth:
+    fragio.save_fragments(observed, args.out)
+    if args.truth:
+        try:
             fragio.save_truth(h, c, args.truth)
-    except OSError as exc:
-        for path in written:
-            os.remove(path)
-        _say(f"cannot write: {exc}")
-        return EXIT_USAGE
+        except Exception:
+            os.remove(args.out)  # an error exit leaves no files
+            raise
     _emit("n", cfg.n)
     _emit("m", cfg.m)
     _emit("k", cfg.k)
@@ -86,36 +101,18 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_decode(args, parser) -> int:
-    try:
-        observed = fragio.load_fragments(args.input)
-    except (OSError, ValueError) as exc:
-        _say(f"cannot load {args.input}: {exc}")
-        return EXIT_USAGE
+    observed = _load(fragio.load_fragments, args.input)
     true_h = None
     if args.truth:
-        try:
-            true_h, _true_c = fragio.load_truth(args.truth)
-        except (OSError, ValueError) as exc:
-            _say(f"cannot load truth file {args.truth}: {exc}")
-            return EXIT_USAGE
+        true_h, _true_c = _load(fragio.load_truth, args.truth)
         if len(true_h) != observed.num_cols:
-            _say(f"truth file {args.truth} has {len(true_h)} sites, not {observed.num_cols}")
-            return EXIT_USAGE
+            raise ValueError(f"truth file {args.truth} has {len(true_h)} sites, not {observed.num_cols}")
 
-    try:
-        if args.algo == "ed":
-            result = erasure.decode(observed, strict=args.strict)
-        else:
-            cfg = SpectralConfig(tolerance=args.tol, max_iterations=args.max_iter, seed=args.seed)
-            result = spectral.decode(observed, cfg)
-    except NonConvergedError as exc:
-        _say(f"FAILURE NonConverged (residual {exc.residual:.3e})")
-        _emit("status", "failure")
-        _emit("reason", "NonConverged")
-        return EXIT_NON_CONVERGED
-    except ValueError as exc:  # inputs the decoder does not accept
-        _say(f"cannot decode {args.input} with --algo {args.algo}: {exc}")
-        return EXIT_USAGE
+    if args.algo == "ed":
+        result = erasure.decode(observed, strict=args.strict)
+    else:
+        cfg = SpectralConfig(tolerance=args.tol, max_iterations=args.max_iter, seed=args.seed)
+        result = spectral.decode(observed, cfg)
     reason = None if result.ok else result.describe()
     if args.algo == "sp" and result.meta["linked_pairs"] == 0:
         reason = "NoLinkedPairs"  # no read links two sites, so the split is arbitrary
@@ -147,92 +144,75 @@ def _require(parser, args, names: list[str]) -> None:
 
 
 def _cmd_analyze(args, parser) -> int:
-    try:
-        if args.what == "e1":
-            _require(parser, args, ["n", "m"])
-            _emit("e1", repr(channel.prob_uncovered_column(args.n, args.m)))
-        elif args.what == "e2":
-            _require(parser, args, ["n", "m", "u", "v"])
-            _emit("e2", repr(channel.prob_disconnected_split(args.n, args.m, args.u, args.v)))
-        elif args.what == "fano":
-            _require(parser, args, ["n", "pe"])
-            value = planted.fano_min_reads(args.n, args.pe, args.p)
-            _emit("fano_min_reads", repr(value))
-            if value == math.inf:
-                _say("unbounded: p=0.5 observations carry no information")
-        elif args.what == "lemma1":
-            _require(parser, args, ["n", "p", "k1", "k2", "k3"])
-            m = args.m if args.m is not None else round(args.k1 * args.n * math.log(args.n))
-            alpha_lo, beta_hi = planted.alpha_beta_bounds(args.n, m, args.p, args.k1, args.k2, args.k3)
-            alpha = planted.alpha_exact(args.n, m, args.p)
-            beta = planted.beta_exact(args.n, m, args.p)
-            alpha_ok = alpha >= alpha_lo
-            beta_ok = beta <= beta_hi
-            _emit("m", m)
-            _emit("alpha_exact", repr(alpha))
-            _emit("alpha_lower", repr(alpha_lo))
-            _emit("beta_exact", repr(beta))
-            _emit("beta_upper", repr(beta_hi))
-            _emit("alpha_check", "PASS" if alpha_ok else "FAIL")
-            _emit("beta_check", "PASS" if beta_ok else "FAIL")
-            _emit(
-                "assumptions",
-                "PASS" if planted.bound_assumptions_hold(args.n, args.k1, args.k2, args.k3) else "FAIL",
-            )
-            _say(("PASS" if alpha_ok else "FAIL") + " " + ("PASS" if beta_ok else "FAIL"))
-        elif args.what == "spectrum":
-            _require(parser, args, ["n1", "n2", "alpha", "beta"])
-            spec = planted.spectrum(
-                planted.PlantedParams(args.n1, args.n2, args.alpha, args.beta)
-            )
-            _emit("lambda1", repr(spec.lambda1))
-            _emit("lambda2", repr(spec.lambda2))
-            _emit("mu1", repr(spec.mu1))
-            _emit("mu2", repr(spec.mu2))
-            _emit("v1_block1", repr(float(spec.v1[0])))
-            _emit("v1_block2", repr(float(spec.v1[-1])))
-            _emit("v2_block1", repr(float(spec.v2[0])))
-            _emit("v2_block2", repr(float(spec.v2[-1])))
-    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite --k1 makes m infinite
-        parser.error(str(exc))
+    if args.what == "e1":
+        _require(parser, args, ["n", "m"])
+        _emit("e1", repr(channel.prob_uncovered_column(args.n, args.m)))
+    elif args.what == "e2":
+        _require(parser, args, ["n", "m", "u", "v"])
+        _emit("e2", repr(channel.prob_disconnected_split(args.n, args.m, args.u, args.v)))
+    elif args.what == "fano":
+        _require(parser, args, ["n", "pe"])
+        value = planted.fano_min_reads(args.n, args.pe, args.p)
+        _emit("fano_min_reads", repr(value))
+        if value == math.inf:
+            _say("unbounded: p=0.5 observations carry no information")
+    elif args.what == "lemma1":
+        _require(parser, args, ["n", "p", "k1", "k2", "k3"])
+        # an infinite --k1 makes m infinite: round raises OverflowError
+        m = args.m if args.m is not None else round(args.k1 * args.n * math.log(args.n))
+        alpha_lo, beta_hi = planted.alpha_beta_bounds(args.n, m, args.p, args.k1, args.k2, args.k3)
+        alpha = planted.alpha_exact(args.n, m, args.p)
+        beta = planted.beta_exact(args.n, m, args.p)
+        alpha_ok = alpha >= alpha_lo
+        beta_ok = beta <= beta_hi
+        _emit("m", m)
+        _emit("alpha_exact", repr(alpha))
+        _emit("alpha_lower", repr(alpha_lo))
+        _emit("beta_exact", repr(beta))
+        _emit("beta_upper", repr(beta_hi))
+        _emit("alpha_check", "PASS" if alpha_ok else "FAIL")
+        _emit("beta_check", "PASS" if beta_ok else "FAIL")
+        _emit(
+            "assumptions",
+            "PASS" if planted.bound_assumptions_hold(args.n, args.k1, args.k2, args.k3) else "FAIL",
+        )
+        _say(("PASS" if alpha_ok else "FAIL") + " " + ("PASS" if beta_ok else "FAIL"))
+    elif args.what == "spectrum":
+        _require(parser, args, ["n1", "n2", "alpha", "beta"])
+        spec = planted.spectrum(planted.PlantedParams(args.n1, args.n2, args.alpha, args.beta))
+        _emit("lambda1", repr(spec.lambda1))
+        _emit("lambda2", repr(spec.lambda2))
+        _emit("mu1", repr(spec.mu1))
+        _emit("mu2", repr(spec.mu2))
+        _emit("v1_block1", repr(float(spec.v1[0])))
+        _emit("v1_block2", repr(float(spec.v1[-1])))
+        _emit("v2_block1", repr(float(spec.v2[0])))
+        _emit("v2_block2", repr(float(spec.v2[-1])))
     return EXIT_OK
 
 
 def _cmd_experiment(args, parser) -> int:
     if (args.config is None) == (args.preset is None):
         parser.error("exactly one of --config or --preset is required")
-    try:
-        if args.preset is not None:
-            config = experiments.preset(
-                args.preset, trials=args.trials, base_seed=args.seed or 0
-            )
-        else:
-            with open(args.config, encoding="ascii") as fh:
-                config = experiments.parse_config_text(fh.read())
-            trials = args.trials if args.trials is not None else config.trials
-            seed = args.seed if args.seed is not None else config.base_seed
-            config = experiments.ExperimentConfig(config.cells, trials, seed)
-    except (OSError, ValueError) as exc:
-        _say(str(exc))
-        return EXIT_USAGE
+    if args.preset is not None:
+        config = experiments.preset(args.preset, trials=args.trials, base_seed=args.seed or 0)
+    else:
+        text = _load(lambda path: Path(path).read_text(encoding="ascii"), args.config)
+        config = experiments.parse_config_text(text)
+        trials = args.trials if args.trials is not None else config.trials
+        seed = args.seed if args.seed is not None else config.base_seed
+        config = experiments.ExperimentConfig(config.cells, trials, seed)
     if args.threads < 1:
-        _say(f"--threads must be >= 1, got {args.threads}")
-        return EXIT_USAGE
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
     # the CSV is written after the sweep, which can run for minutes
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
-        _say(f"cannot write CSV to {args.out}: no directory {out_dir}")
-        return EXIT_USAGE
+        raise ValueError(f"cannot write CSV to {args.out}: no directory {out_dir}")
     if os.path.isdir(args.out):
-        _say(f"cannot write CSV to {args.out}: it is a directory")
-        return EXIT_USAGE
+        raise ValueError(f"cannot write CSV to {args.out}: it is a directory")
     summaries = experiments.run(config, threads=args.threads, measure_time=not args.no_timing)
-    try:
-        experiments.emit_csv(summaries, args.out)
-    except OSError as exc:
-        _say(str(exc))
-        return EXIT_USAGE
+    experiments.emit_csv(summaries, args.out)
     for s in summaries:
         _say(
             f"cell n={s.n} {s.m_rule}={s.kappa_or_c:g} p={s.p:g} {s.decoder}: "
@@ -312,17 +292,21 @@ def main(argv: list[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = {
+        "simulate": _cmd_simulate, "decode": _cmd_decode,
+        "analyze": _cmd_analyze, "experiment": _cmd_experiment,
+    }[args.command]
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args, parser)
-        if args.command == "decode":
-            return _cmd_decode(args, parser)
-        if args.command == "analyze":
-            return _cmd_analyze(args, parser)
-        return _cmd_experiment(args, parser)
-    except MemoryError:
-        _say(f"{args.command}: out of memory; the input is too large for this machine")
-        return EXIT_USAGE
+        return command(args, parser)
+    except Exception as exc:
+        for kinds, code, message in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                _say(f"{args.command}: {message.format(exc)}")
+                if code == EXIT_NON_CONVERGED:
+                    _emit("status", "failure")
+                    _emit("reason", "NonConverged")
+                return code
+        raise  # not an input error: a bug, shown with its traceback
 
 
 if __name__ == "__main__":

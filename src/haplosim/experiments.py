@@ -35,6 +35,7 @@ __all__ = [
     "wilson_interval",
     "preset",
     "parse_config_text",
+    "WorkerLostError",
 ]
 
 M_RULES = ("linear", "nlogn", "coverage")
@@ -185,6 +186,10 @@ def _worker_count(threads: int, tasks: int) -> int:
     return min(threads, tasks, os.cpu_count() or 1)
 
 
+class WorkerLostError(RuntimeError):
+    """A sweep worker process exited mid-sweep, so the sweep was abandoned."""
+
+
 # (workers, ProcessPoolExecutor): one pool kept for every run() in the process,
 # so repeated small sweeps pay worker start-up once
 _pool = None
@@ -238,7 +243,7 @@ def _run_on_pool(workers: int, trial_args: list[tuple]) -> list:
             return list(pool.map(_run_trial, *zip(*trial_args), chunksize=chunksize))
         except BrokenProcessPool as exc:
             _shutdown_pool()  # the next run() starts a fresh pool
-            raise RuntimeError(
+            raise WorkerLostError(
                 "a sweep worker process exited unexpectedly (killed, out of "
                 "memory, or failed to start); the sweep was abandoned"
             ) from exc

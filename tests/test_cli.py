@@ -2,17 +2,19 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tuple_reference as ref
-from haplosim import channel, erasure, experiments, spectral
+from haplosim import channel, cli, erasure, experiments, spectral
 from haplosim.cli import build_parser, main
 from haplosim.fragio import MAGIC, load_fragments, save_fragments, save_truth
 
@@ -125,6 +127,20 @@ class TestSimulate:
         assert stdout == ""
         assert len(stderr.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("truth", ["same.x", "sub/../same.x", "link.x"])
+    def test_out_and_truth_naming_one_file_is_refused(self, capsys, tmp_path, monkeypatch, truth):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.x").symlink_to(tmp_path / "same.x")
+        code, stdout, stderr = run_cli(
+            capsys, "simulate", "--n", "10", "--m", "20", "--seed", "1",
+            "--out", "same.x", "--truth", truth,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and "same file" in stderr
+        assert not (tmp_path / "same.x").exists()
 
     def test_coverage_sets_read_count(self, capsys, tmp_path):
         out = tmp_path / "c.frag"
@@ -384,6 +400,90 @@ def test_analyze_fuzz_exits_with_a_code_and_key_value_stdout(argv):
         assert sep and key.isidentifier(), line
 
 
+@st.composite
+def experiment_cases(draw):
+    """(config bytes or None for a directory, extra flags): a sweep config whose
+    lines may hold unknown keys, bad values or no `=`, whose cells may miss
+    keys, and whose bytes may hold a non-ASCII one. n stays at or below 12 and
+    trials at or below 2 (the default of 100 is set to 2 first), so every
+    sweep that starts is short."""
+    good = {
+        "n": ["2", "3", "12"], "m_rule": ["linear", "nlogn", "coverage"],
+        "kappa_or_c": ["0.5", "2", "4"], "p": ["0", "0.1", "0.5"], "k": ["2", "3"],
+        "decoder": ["ed", "sp", "both"], "trials": ["1", "2"], "base_seed": ["0", "7"],
+    }
+    bad = {
+        "n": ["1", "0", "-4", "12.0", "x"], "m_rule": ["square"],
+        "kappa_or_c": ["0", "-1", "inf", "nan", "1e308", "x"], "p": ["0.6", "-0.1", "nan"],
+        "k": ["1", "13"], "decoder": ["xx"], "trials": ["0", "-1", "x"], "base_seed": ["-1", "1.5"],
+    }
+    rare = st.sampled_from([False] * 11 + [True])
+
+    def assign(key):
+        return f"{key} = {draw(st.sampled_from((bad if draw(rare) else good)[key]))}"
+
+    lines = ["trials = 2"] + [assign(key) for key in ("trials", "base_seed") if draw(st.booleans())]
+    for _ in range(draw(st.sampled_from([1, 2, 3, 0]))):
+        lines.append("[cell]")
+        for key in ("n", "m_rule", "kappa_or_c", "p", "k", "decoder"):
+            if not draw(rare):  # sometimes a required key is missing
+                lines.append(assign(key))
+    if draw(rare):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(["bogus = 1", "no equals sign", "[cell]"])))
+    text = ("\n".join(lines) + "\n").encode("ascii")
+    if draw(rare):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xe9" + text[at:]
+    flags = draw(st.sampled_from([[], [], ["--trials", "1"], ["--trials", "0"], ["--seed", "-1"], ["--seed", "3"]]))
+    return (None if draw(rare) and draw(rare) else text), flags
+
+
+CELL = "[cell]\nn = 12\nm_rule = nlogn\nkappa_or_c = 2\np = 0.1\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(experiment_cases())
+@example((b"trials = 2\n" + CELL.encode(), []))  # a sweep that runs
+@example((b"trials = 2\n", []))  # empty grid
+@example((b"trials = 2\n" + CELL.replace("kappa_or_c = 2", "kappa_or_c = inf").encode(), []))
+@example((b"trials = 1\n[cell]\nn = 1\xe9\n", []))  # non-ASCII
+@example((b"trials = 1\n[cell]\nn = 12\nm_rule = nlogn\n", []))  # missing keys
+@example((b"trials = 1\nbogus = 1\n" + CELL.encode() + b"bogus = 2\n", []))  # unknown keys
+@example((None, []))  # the config path is a directory
+def test_experiment_config_fuzz_exits_with_a_code_and_key_value_stdout(tmp_path_factory, case):
+    config_bytes, flags = case
+    case_dir = tmp_path_factory.mktemp("fuzz")  # new files for every example
+    config = case_dir
+    if config_bytes is not None:
+        config = case_dir / "sweep.cfg"
+        config.write_bytes(config_bytes)
+    argv = ["experiment", "--config", str(config), "--out", str(case_dir / "out.csv"),
+            "--threads", "1", "--no-timing", *flags]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert (case_dir / "out.csv").exists() == (code == 0)
+    if code == 2:
+        assert err.getvalue().startswith("experiment: ")
+    if config_bytes is None or b"\xe9" in config_bytes:
+        assert err.getvalue().startswith(f"experiment: cannot load {config}: ")
+    for line in out.getvalue().splitlines():
+        key, sep, _ = line.partition("=")
+        assert sep and key.isidentifier(), line
+
+
+def test_exit_codes_agree_across_readme_docstring_and_constants():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    in_readme = {int(code) for code in re.findall(r"^\| (\d+) \|", readme, re.MULTILINE)}
+    in_docstring = {int(code) for code in re.findall(r"(?:^|,)\s+(\d+) ", cli.__doc__.split("Exit codes:")[1])}
+    constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert build_parser().description == cli.__doc__  # the --help text
+    assert in_readme == in_docstring == constants == set(range(6))
+    assert {code for _, code, _ in cli._EXIT_CODES} <= constants
+
+
 class TestAnalyze:
     def test_fano_error_free(self, capsys):
         code, stdout, _ = run_cli(capsys, "analyze", "--what", "fano", "--n", "1000", "--pe", "0")
@@ -431,6 +531,12 @@ class TestAnalyze:
     def test_precondition_violation_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--what", "e1", "--n", "2", "--m", "5")
         assert code == 2
+
+    def test_value_error_returns_2_with_one_stderr_line(self, capsys):
+        assert main(["analyze", "--what", "e1", "--n", "2", "--m", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["analyze: n must be >= 3"]
 
     def test_overflowing_probability_reads_one(self, capsys):
         code, stdout, _ = run_cli(capsys, "analyze", "--what", "e1", "--n", "2000", "--m", "400")
@@ -535,6 +641,16 @@ class TestExperiment:
         assert code == 2
         assert "trials" in stderr
         assert not out.exists()
+
+    def test_non_ascii_config_names_the_file(self, capsys, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_bytes(b"trials = 1\n[cell]\nn = 1\xe9\n")
+        code, stdout, stderr = run_cli(
+            capsys, "experiment", "--config", str(config), "--out", str(tmp_path / "x.csv")
+        )
+        assert code == 2
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and str(config) in stderr and "0xe9" in stderr
 
     def test_config_and_preset_exclusive(self, capsys, tmp_path):
         code, _, _ = run_cli(

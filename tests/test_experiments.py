@@ -9,7 +9,7 @@ import pytest
 
 import tuple_reference as ref
 from conftest import check_fragio_roundtrip, read_summaries
-from haplosim import experiments
+from haplosim import cli, experiments
 from haplosim.experiments import (
     Cell,
     CellSummary,
@@ -149,6 +149,23 @@ class TestWorkerPool:
             run(self.CONFIG, threads=2, measure_time=False)
         assert experiments._pool is None
         assert run(self.CONFIG, threads=2, measure_time=False) == expected
+
+    def test_killed_worker_exits_5_from_the_cli(self, capsys, tmp_path):
+        run(self.CONFIG, threads=2, measure_time=False)
+        worker = next(iter(experiments._pool[1]._processes.values()))
+        os.kill(worker.pid, signal.SIGKILL)
+        assert wait([worker.sentinel], timeout=60)
+        config, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        config.write_text("trials = 4\n[cell]\nn = 20\nm_rule = linear\nkappa_or_c = 4\np = 0\n")
+        argv = ["experiment", "--config", str(config), "--out", str(out), "--threads", "2"]
+        assert cli.main(argv) == cli.EXIT_WORKER_LOST
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "experiment: a sweep worker process exited unexpectedly (killed, out of "
+            "memory, or failed to start); the sweep was abandoned"
+        ]
+        assert not out.exists()
 
     def test_workers_report_wall_times(self):
         summaries = run(self.CONFIG, threads=2, measure_time=True)
