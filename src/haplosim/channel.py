@@ -114,9 +114,10 @@ def prob_uncovered_column(n: int, m: int) -> float:
     """Probability that some column receives no observation (k=2 reads).
 
     Evaluates sum_{i=1}^{n-2} C(n,i) * [C(n-i,2)/C(n,2)]^m with
-    scipy.special.logsumexp and clamps it to [0, 1]. For n > 3 the sum lacks
-    inclusion-exclusion alternation, so treat it as a union-style upper
-    estimate there; at n=3 it is exact.
+    scipy.special.logsumexp and clamps it to [0, 1]. The pair ratio's log is
+    log1p(-i(2n-i-1) / (n(n-1))), so m multiplies no cancellation. For n > 3
+    the sum lacks inclusion-exclusion alternation, so treat it as a
+    union-style upper estimate there; at n=3 it is exact.
     """
     from scipy.special import logsumexp
 
@@ -124,8 +125,8 @@ def prob_uncovered_column(n: int, m: int) -> float:
         raise ValueError("n must be >= 3")
     if m < 1:
         raise ValueError("m must be >= 1")
-    log_pairs = _log_comb(n, 2)
-    terms = [_log_comb(n, i) + m * (_log_comb(n - i, 2) - log_pairs) for i in range(1, n - 1)]
+    i = np.arange(1, n - 1, dtype=np.float64)
+    terms = _log_comb(n, i) + m * np.log1p(-i * (2 * n - i - 1) / (n * (n - 1)))
     return math.exp(min(0.0, float(logsumexp(terms))))
 
 

@@ -9,7 +9,6 @@ represented structurally (absent from a row), never as a third allele value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -46,15 +45,8 @@ class _SignVector:
         self._array = raw.astype(np.int8)
         self._array.setflags(write=False)
 
-    @cached_property
-    def _values(self) -> tuple[int, ...]:
-        return tuple(self._array.tolist())
-
     def __len__(self) -> int:
         return self._array.size
-
-    def __getitem__(self, index: int) -> int:
-        return self._values[index]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -65,7 +57,7 @@ class _SignVector:
         return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._values!r})"
+        return f"{type(self).__name__}({tuple(self._array.tolist())!r})"
 
     def flipped(self):
         return type(self)(-self._array)
@@ -78,14 +70,12 @@ class Haplotype(_SignVector):
     """A length-n sequence of +/-1 alleles; the other chromosome carries its negation."""
 
     _what, _min_len, _too_short = "haplotype", 2, "haplotype needs at least 2 SNP sites"
-    alleles = property(lambda self: self._values)
 
 
 class MembershipVector(_SignVector):
     """Per-read chromosome labels: +1 if the read was sampled from h, -1 from -h."""
 
     _what, _min_len, _too_short = "membership", 1, "membership vector needs at least 1 read"
-    members = property(lambda self: self._values)
 
 
 def _index_dtype(bound: int) -> type:

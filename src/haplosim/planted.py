@@ -6,9 +6,9 @@ cross-class value beta. This module provides B's exact rank-2 spectrum, the
 exact alpha/beta double sums for the k=2 channel, worst-case bounds on both
 at m = k1*n*ln(n) read counts, and the Fano-style minimum read counts.
 
-Binomial tails come from scipy.special.bdtrc, imported inside the function
-that needs it so that `import haplosim` does not load scipy.special. All
-entropies are in bits.
+Binomial tails (bdtrc) and log-binomials (betaln) come from scipy.special,
+imported inside the functions that use them so that `import haplosim` does
+not load it. All entropies are in bits.
 """
 
 from __future__ import annotations
@@ -108,8 +108,11 @@ class VoteProb(NamedTuple):
     truncation_bound: float
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _log_comb(n: int, k):
+    """log C(n, k) for 0 <= k <= n; k may be an array."""
+    from scipy.special import betaln
+
+    return -math.log1p(n) - betaln(n - k + 1, k + 1)
 
 
 def majority_vote_prob(n: int, m: int, p: float, same_class: bool) -> VoteProb:
@@ -218,6 +221,8 @@ def fano_min_reads(n: int, pe: float, p: float | None = None) -> float:
     denominator becomes 2*(1-H(p)); at p=0.5 the observations carry no
     information and the requirement is unbounded (returns inf).
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= pe < 1.0:
         raise ValueError(f"pe must be in [0, 1), got {pe}")
     if p is None:

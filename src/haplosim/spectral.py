@@ -35,10 +35,8 @@ contracts still hold afterwards:
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,52 +71,24 @@ class NonConvergedError(RuntimeError):
         self.iterations = iterations
 
 
-class _PairMap(Mapping):
-    """Read-only (u, v) -> row map over sorted pair keys u*size+v.
-
-    len() reads the key array, so counting pairs builds no dict.
-    """
-
-    def __init__(self, size: int, keys: np.ndarray, rows: np.ndarray) -> None:
-        self._size, self._keys, self._rows = size, keys, rows
-
-    def __len__(self) -> int:
-        return self._keys.size
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._dict)
-
-    def __getitem__(self, pair: tuple[int, int]) -> tuple[float, ...]:
-        return self._dict[pair]
-
-    @cached_property
-    def _dict(self) -> dict[tuple[int, int], tuple[float, ...]]:
-        us, vs = np.divmod(self._keys, self._size)
-        return dict(zip(zip(us.tolist(), vs.tolist()), map(tuple, self._rows.tolist())))
-
-
 class VoteMatrix:
     """Symmetric 0/1 zero-diagonal adjacency from per-pair majority votes.
 
-    `keys` holds the sorted, distinct pair keys u*size+v (u < v) of every
-    co-observed column pair and `counts` their (agree, disagree) rows;
-    `edge_keys` keeps the linked pairs (a_uv = 1), exactly those with
-    agree > disagree, so ties and never-co-observed pairs stay 0. `tallies`
-    maps (u, v) to its counts and `edges` is the set of linked (u, v), both
-    views of the arrays.
+    `pairs` is the (P, 2) array of every co-observed column pair (u, v),
+    u < v, sorted by u and then v, and `tallies` the (P, 2) array of their
+    (agree, disagree) vote counts. `edges` holds the rows of `pairs` that
+    are linked (a_uv = 1), exactly those with agree > disagree, so ties and
+    never-co-observed pairs stay 0.
     """
 
-    def __init__(self, size: int, keys: np.ndarray, counts: np.ndarray) -> None:
+    def __init__(self, size: int, pairs: np.ndarray, tallies: np.ndarray) -> None:
         if size < 1:
             raise ValueError("size must be >= 1")
-        linked = counts[:, 0] > counts[:, 1]
-        self.size, self.keys, self.counts = size, keys, counts
-        self.edge_keys = keys[linked]
-        self.tallies = _PairMap(size, keys, counts)
-        self.edges = _PairMap(size, self.edge_keys, counts[linked]).keys()
+        self.size, self.pairs, self.tallies = size, pairs, tallies
+        self.edges = pairs[tallies[:, 0] > tallies[:, 1]]
 
     def to_sparse(self) -> sp.csr_matrix:
-        us, vs = np.divmod(self.edge_keys, self.size)
+        us, vs = self.edges.T
         rows = np.concatenate([us, vs])
         cols = np.concatenate([vs, us])
         return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(self.size, self.size))
@@ -139,6 +109,8 @@ class SpectralConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 def _row_pairs(matrix: ReadMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +134,10 @@ def build_adjacency(matrix: ReadMatrix) -> VoteMatrix:
     vs = matrix.indices[second].astype(np.int64)
     agree = matrix.values[first] == matrix.values[second]
     keys, pair_of = np.unique(us * n + vs, return_inverse=True)
-    counts = [
+    tallies = [
         np.bincount(pair_of, weights=agree == side, minlength=keys.size) for side in (True, False)
     ]
-    return VoteMatrix(n, keys, np.stack(counts, axis=1))
+    return VoteMatrix(n, np.stack(np.divmod(keys, n), axis=1), np.stack(tallies, axis=1))
 
 
 def _as_csr(matrix) -> sp.csr_matrix:
@@ -377,7 +349,7 @@ def decode(matrix: ReadMatrix, config: SpectralConfig | None = None) -> Recovery
         "lambda1": lam1,
         "lambda2": lam2,
         "low_confidence": _near_tie(lam1, lam2, cfg.tolerance),
-        "linked_pairs": int(votes.edge_keys.size),
+        "linked_pairs": len(votes.edges),
     }
     return RecoveryResult(estimate, None, meta=meta)
 

@@ -226,7 +226,7 @@ def ed_trend_counts():
             result = ed_decode(observed)
             if not result.ok:
                 failures += 1
-            elif result.haplotype.alleles in (h.alleles, h.flipped().alleles):
+            elif result.haplotype in (h, h.flipped()):
                 exact += 1
         out[n] = (exact, failures)
     return out

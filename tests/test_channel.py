@@ -1,7 +1,9 @@
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -107,8 +109,9 @@ class TestTransmit:
         c = MembershipVector(tuple(rng.integers(0, 2, 30) * 2 - 1))
         observed, flipped = transmit(h, c, ChannelConfig(n=12, m=30, p=0.0, seed=9))
         assert np.count_nonzero(flipped) == 0
+        hs, cs = ref.signs(h), ref.signs(c)
         for i, j, value in ref.entries(observed):
-            assert value == c[i] * h[j]
+            assert value == cs[i] * hs[j]
 
     def test_transmit_uses_sample_mask_draw(self):
         cfg = ChannelConfig(n=9, m=40, k=3, p=0.0, seed=77)
@@ -142,8 +145,9 @@ class TestTransmit:
         h = Haplotype(tuple(rng.integers(0, 2, 7) * 2 - 1))
         c = MembershipVector(tuple(rng.integers(0, 2, 50) * 2 - 1))
         observed, flipped = transmit(h, c, ChannelConfig(n=7, m=50, p=0.3, seed=3))
+        hs, cs = ref.signs(h), ref.signs(c)
         for (i, j, value), flip in zip(ref.entries(observed), flipped):
-            expected = c[i] * h[j]
+            expected = cs[i] * hs[j]
             assert value == (-expected if flip else expected)
 
     def test_noise_membership_matches_flips(self):
@@ -152,7 +156,7 @@ class TestTransmit:
         observed, flipped = transmit(h, c, ChannelConfig(n=5, m=40, p=0.3, seed=8))
         assert np.count_nonzero(flipped) > 0
         for (i, j, value), flip in zip(ref.entries(observed), flipped):
-            assert flip == (value != h[j])
+            assert flip == (value != ref.signs(h)[j])
 
     def test_determinism(self):
         cfg = ChannelConfig(n=15, m=60, p=0.2, seed=12345)
@@ -212,6 +216,21 @@ class TestUncoveredColumnProbability:
         for n in (5, 9, 14):
             values = [prob_uncovered_column(n, m) for m in range(1, 40)]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n, rel, seconds", [(10**5, 1e-10, 2.0), (10**6, 1e-9, 5.0)])
+    def test_matches_high_precision_sum_at_genome_scale(self, n, rel, seconds):
+        # at m = n ln n the terms fall by about a factor n per step, so the
+        # first 40 carry the sum to far below double precision
+        m = round(n * math.log(n))
+        with mpmath.workdps(50):
+            pairs = mpmath.binomial(n, 2)
+            terms = [mpmath.binomial(n, i) * (mpmath.binomial(n - i, 2) / pairs) ** m for i in range(1, 41)]
+            expected = mpmath.fsum(terms)
+            assert terms[-1] < 1e-40 * expected
+        start = time.perf_counter()
+        value = prob_uncovered_column(n, m)
+        assert time.perf_counter() - start < seconds
+        assert value == pytest.approx(float(expected), rel=rel, abs=0)
 
     def test_union_sum_past_one_clamps(self):
         # the union-style sum is about e^950 here; exp of it would overflow

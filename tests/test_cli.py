@@ -287,6 +287,17 @@ class TestDecodeRejectsInputs:
         )
         assert "tolerance must be positive and finite" in stderr
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "text",
+        ["#haplofrag v1\n2 2\n0: 0:1 1:1\n1: 0:0 1:0\n", "#haplofrag v1\n2 3\n0: 0:1 1:1\n1: 1:1 2:1\n"],
+        ids=["dense", "arpack"],
+    )
+    def test_sp_with_a_non_positive_iteration_budget(self, capsys, tmp_path, text, budget):
+        # two columns take the dense solve, which never reads the budget
+        stderr = self.rejected(capsys, tmp_path, text, "--algo", "sp", f"--max-iter={budget}")
+        assert f"max_iterations must be >= 1, got {budget}" in stderr
+
     @pytest.mark.parametrize("algo", ["ed", "sp"])
     def test_columns_beyond_int32(self, capsys, tmp_path, algo):
         # int32 column indices would wrap 4294967301 and 4294967302 to 5 and 6
@@ -537,6 +548,13 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["analyze: n must be >= 3"]
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_fano_needs_a_positive_site_count(self, capsys, n):
+        code, stdout, stderr = run_cli(capsys, "analyze", "--what", "fano", "--n", n, "--pe", "0")
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == [f"analyze: n must be >= 1, got {n}"]
 
     def test_overflowing_probability_reads_one(self, capsys):
         code, stdout, _ = run_cli(capsys, "analyze", "--what", "e1", "--n", "2000", "--m", "400")

@@ -20,7 +20,7 @@ class TestWorkedExample:
         h, c, observed = example_8x6
         result = decode(observed)
         assert result.ok
-        assert result.membership[0] == 1  # first read pinned to +1
+        assert ref.signs(result.membership)[0] == 1  # first read pinned to +1
         errors, flip = hamming_up_to_flip(h, result.haplotype)
         assert errors == 0
         assert result.membership.to_array().tolist() == (flip * c.to_array()).tolist()
@@ -46,8 +46,8 @@ class TestSmallCases:
         observed = ref.read_matrix(2, (((0, 1), (1, -1)),))
         result = decode(observed)
         assert result.ok
-        assert result.haplotype.alleles == (1, -1)
-        assert result.membership.members == (1,)
+        assert ref.signs(result.haplotype) == (1, -1)
+        assert ref.signs(result.membership) == (1,)
 
     def test_disjoint_blocks_fail(self):
         observed = ref.read_matrix(4, (((0, 1), (1, 1)), ((2, 1), (3, -1))))
@@ -88,7 +88,7 @@ class TestNoisyBehaviour:
         )
         result = decode(ref.read_matrix(2, rows))
         assert result.ok
-        assert result.haplotype.alleles == (1, 1)
+        assert ref.signs(result.haplotype) == (1, 1)
         assert result.meta["mismatches"] == 1
 
     def test_majority_tie_resolves_to_plus(self):
@@ -98,7 +98,7 @@ class TestNoisyBehaviour:
         )
         result = decode(ref.read_matrix(2, rows))
         assert result.ok
-        assert result.haplotype.alleles == (1, 1)
+        assert ref.signs(result.haplotype) == (1, 1)
 
 
 class TestProperties:
@@ -127,7 +127,7 @@ class TestProperties:
             assert result.ok == flipped.ok
             if not result.ok:
                 continue
-            assert flipped.haplotype.alleles == result.haplotype.flipped().alleles
+            assert flipped.haplotype == result.haplotype.flipped()
             # the reconstructed source changes sign with the input; the
             # product form is what stays invariant under (h, c) -> (-h, -c)
             assert np.array_equal(

@@ -46,17 +46,15 @@ class TestTypes:
                 cls(given_values)
             assert str(info.value) == message
 
-    @pytest.mark.parametrize("cls, view", [(Haplotype, "alleles"), (MembershipVector, "members")])
-    def test_sign_vector_from_tuple_or_array(self, cls, view):
+    @pytest.mark.parametrize("cls", [Haplotype, MembershipVector])
+    def test_sign_vector_from_tuple_or_array(self, cls):
         values = (1, -1, -1, 1)
         from_tuple = cls(values)
         from_array = cls(np.array(values, dtype=np.int64))
         assert from_tuple == from_array
         assert hash(from_tuple) == hash(from_array)
         assert from_tuple != cls((1, -1, -1, -1))
-        assert getattr(from_array, view) == values
-        assert all(type(v) is int for v in getattr(from_array, view))
-        assert type(from_array[1]) is int
+        assert repr(from_array) == f"{cls.__name__}({values!r})"
         stored = from_array.to_array()
         assert stored.dtype == np.int8
         with pytest.raises(ValueError):
@@ -68,7 +66,7 @@ class TestTypes:
         source = np.array([1, -1, 1], dtype=np.int8)
         h = Haplotype(source)
         source[0] = -1
-        assert h.alleles == (1, -1, 1)
+        assert h.to_array().tolist() == [1, -1, 1]
 
     def test_haplotype_never_equals_membership(self):
         assert Haplotype((1, -1)) != MembershipVector((1, -1))

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -147,6 +148,29 @@ class TestExactVoteProbabilities:
             assert scaled == pytest.approx(expected, abs=5e-4)
             assert 2.5 <= scaled <= 3.5
 
+    def test_matches_high_precision_sum_at_large_m(self):
+        # at n = 10^5 the pair is covered about 4.6e-4 times on average, so
+        # 40 read counts carry the sum to far below double precision
+        n, p = 10**5, 0.1
+        m = round(2 * n * math.log(n))
+        with mpmath.workdps(50):
+            q = mpmath.mpf(2) / (n * (n - 1))
+            s = (1 - mpmath.mpf(p)) ** 2 + mpmath.mpf(p) ** 2
+
+            def term(j):
+                majority = mpmath.fsum(
+                    mpmath.binomial(j, l) * s**l * (1 - s) ** (j - l) for l in range(j // 2 + 1, j + 1)
+                )
+                return mpmath.binomial(m, j) * q**j * (1 - q) ** (m - j) * majority
+
+            terms = [term(j) for j in range(1, 41)]
+            expected = mpmath.fsum(terms)
+            assert terms[-1] < 1e-40 * expected
+        start = time.perf_counter()
+        value = alpha_exact(n, m, p)
+        assert time.perf_counter() - start < 2.0
+        assert value == pytest.approx(float(expected), rel=1e-11, abs=0)
+
     def test_truncation_bound_reported(self):
         detail = majority_vote_prob(100, 921, 0.1, same_class=True)
         assert 0.0 <= detail.truncation_bound <= 1e-12
@@ -237,6 +261,9 @@ class TestEntropyAndFano:
         assert fano_min_reads(10, 0.0, 0.5) == math.inf
 
     def test_validation(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                fano_min_reads(n, 0.0)
         with pytest.raises(ValueError):
             fano_min_reads(10, 1.0)
         with pytest.raises(ValueError):

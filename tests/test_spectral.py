@@ -33,13 +33,13 @@ class TestBuildAdjacency:
             ((0, 1), (1, -1)),
         )
         votes = build_adjacency(ref.read_matrix(2, rows))
-        assert votes.tallies[(0, 1)] == (2, 1)
+        assert ref.tally_dict(votes)[(0, 1)] == (2, 1)
         assert ref.vote_entry(votes, 0, 1) == 1
 
     def test_tie_gives_zero(self):
         rows = (((0, 1), (1, 1)), ((0, 1), (1, -1)))
         votes = build_adjacency(ref.read_matrix(2, rows))
-        assert votes.tallies[(0, 1)] == (1, 1)
+        assert ref.tally_dict(votes)[(0, 1)] == (1, 1)
         assert ref.vote_entry(votes, 0, 1) == 0
         assert ref.vote_entry(votes, 1, 0) == 0
 
@@ -47,10 +47,11 @@ class TestBuildAdjacency:
         _, _, observed = example_8x6
         votes = build_adjacency(observed)
         # read 3 sees columns 2,3 with opposite signs
-        assert votes.tallies[(2, 3)] == (0, 1)
+        tallies = ref.tally_dict(votes)
+        assert tallies[(2, 3)] == (0, 1)
         assert ref.vote_entry(votes, 2, 3) == 0
         # reads 2 and 6 both see columns 0,3 agreeing
-        assert votes.tallies[(0, 3)] == (2, 0)
+        assert tallies[(0, 3)] == (2, 0)
         assert ref.vote_entry(votes, 0, 3) == 1
 
     def test_diagonal_and_symmetry(self, example_8x6):
@@ -62,7 +63,7 @@ class TestBuildAdjacency:
     def test_multi_snp_reads_vote_on_all_pairs(self):
         rows = (((0, 1), (2, 1), (4, -1)),)
         votes = build_adjacency(ref.read_matrix(5, rows))
-        assert set(votes.tallies) == {(0, 2), (0, 4), (2, 4)}
+        assert set(ref.tally_dict(votes)) == {(0, 2), (0, 4), (2, 4)}
         assert ref.vote_entry(votes, 0, 2) == 1
         assert ref.vote_entry(votes, 0, 4) == 0
 
@@ -201,16 +202,16 @@ class TestTopTwoEigenpairs:
 class TestPartition:
     def test_negative_entries_become_plus(self):
         estimate = partition(np.array([-0.3, -0.3, 0.4, 0.4]))
-        assert estimate.alleles == (1, 1, -1, -1)
+        assert ref.signs(estimate) == (1, 1, -1, -1)
 
     def test_zero_entry_lands_in_minus_class(self):
         estimate = partition(np.array([-0.5, 0.0, 0.5]))
-        assert estimate.alleles == (1, -1, -1)
+        assert ref.signs(estimate) == (1, -1, -1)
 
     def test_negating_input_flips_output(self):
         vec = np.array([-0.6, 0.2, 0.77, -0.1])
         flipped = partition(-vec)
-        assert flipped.alleles == partition(vec).flipped().alleles
+        assert flipped == partition(vec).flipped()
 
 
 class TestDecode:
@@ -284,12 +285,12 @@ class TestDecode:
 class TestInferMemberships:
     def test_error_free_reads_recover_their_sources(self):
         h, c, observed = random_instance(12, 40, 2, 0.0, seed=61)
-        assert infer_memberships(observed, h).members == c.members
+        assert infer_memberships(observed, h) == c
 
     def test_single_flip_in_two_entry_read_ties_to_plus(self):
         h = Haplotype((1, 1))
         observed = ref.read_matrix(2, (((0, 1), (1, -1)),))
-        assert infer_memberships(observed, h).members == (1,)
+        assert ref.signs(infer_memberships(observed, h)) == (1,)
 
     def test_matches_per_read_map_oracle(self):
         # with the true haplotype, the sign vote IS the per-read MAP rule
@@ -297,18 +298,19 @@ class TestInferMemberships:
         p = 0.05
         for t in range(25):
             h, c, observed = random_instance(10, 30, 2, p, seed=400 + t)
-            inferred = infer_memberships(observed, h)
-            correct = sum(1 for i in range(30) if inferred[i] == c[i])
+            inferred = ref.signs(infer_memberships(observed, h))
+            truth, hs = ref.signs(c), ref.signs(h)
+            correct = sum(1 for i in range(30) if inferred[i] == truth[i])
             oracle_correct = 0
             for i, row in enumerate(ref.rows(observed)):
                 best, best_like = 1, -1.0
                 for label in (1, -1):
                     like = 1.0
                     for j, value in row:
-                        like *= (1 - p) if value == label * h[j] else p
+                        like *= (1 - p) if value == label * hs[j] else p
                     if like > best_like:
                         best, best_like = label, like
-                if best == c[i]:
+                if best == truth[i]:
                     oracle_correct += 1
             assert correct >= oracle_correct
 
@@ -319,6 +321,6 @@ class TestInferMemberships:
 
 class TestVoteMatrix:
     def test_edges_follow_tallies(self):
-        # keys u*3+v of the pairs (0, 1), (0, 2), (1, 2)
-        votes = VoteMatrix(3, np.array([1, 2, 5]), np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]]))
-        assert votes.edges == frozenset({(0, 1)})
+        pairs = np.array([[0, 1], [0, 2], [1, 2]])
+        votes = VoteMatrix(3, pairs, np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]]))
+        assert votes.edges.tolist() == [[0, 1]]

@@ -1,7 +1,9 @@
 """Tuple-side oracles for the array code in haplosim.
 
 `read_matrix` builds a ReadMatrix from per-row (column, allele) tuples
-through its one constructor; `rows`, `entries` and `dense` read it back.
+through its one constructor; `rows`, `entries` and `dense` read it back,
+and `signs`, `tally_dict` and `edge_set` read the sign vectors and the
+VoteMatrix arrays back as tuples.
 On them sit the row-by-row Python versions of the array code: `encode` and
 `project` for the masked rank-1 source, `sample_mask` for the channel's
 positions, a queue-driven walk and a union-find for the erasure decoder,
@@ -101,9 +103,24 @@ def sample_mask(cfg: ChannelConfig, rng: np.random.Generator) -> set[tuple[int, 
     return {(i, int(j)) for i in range(cfg.m) for j in cols[i]}
 
 
+def signs(vector: Haplotype | MembershipVector) -> tuple[int, ...]:
+    """The +/-1 entries of a haplotype or membership vector as a tuple."""
+    return tuple(vector.to_array().tolist())
+
+
+def tally_dict(votes: VoteMatrix) -> dict[tuple[int, int], tuple[float, float]]:
+    """(u, v) -> (agree, disagree) for every co-observed pair, u < v."""
+    return dict(zip(map(tuple, votes.pairs.tolist()), map(tuple, votes.tallies.tolist())))
+
+
+def edge_set(votes: VoteMatrix) -> frozenset[tuple[int, int]]:
+    """The linked pairs (u, v), u < v."""
+    return frozenset(map(tuple, votes.edges.tolist()))
+
+
 def vote_entry(votes: VoteMatrix, u: int, v: int) -> int:
-    """Adjacency entry a_uv, read off the `edges` view."""
-    return int((min(u, v), max(u, v)) in votes.edges)
+    """Adjacency entry a_uv, read off the linked pairs."""
+    return int((min(u, v), max(u, v)) in edge_set(votes))
 
 
 class _DisjointSet:
@@ -269,9 +286,10 @@ def infer_memberships(matrix: ReadMatrix, haplotype: Haplotype) -> MembershipVec
         raise ValueError(
             f"haplotype length {len(haplotype)} != matrix columns {matrix.num_cols}"
         )
+    h = signs(haplotype)
     members = []
     for row in rows(matrix):
-        agreement = sum(value * haplotype[j] for j, value in row)
+        agreement = sum(value * h[j] for j, value in row)
         members.append(1 if agreement >= 0 else -1)
     return MembershipVector(tuple(members))
 
@@ -291,7 +309,7 @@ def format_signs(values) -> str:
 
 def save_truth(h: Haplotype, c: MembershipVector, path: str | Path) -> None:
     Path(path).write_text(
-        format_signs(h.alleles) + "\n" + format_signs(c.members) + "\n", encoding="ascii", newline="\n"
+        format_signs(signs(h)) + "\n" + format_signs(signs(c)) + "\n", encoding="ascii", newline="\n"
     )
 
 
