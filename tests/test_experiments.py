@@ -1,7 +1,10 @@
+import hashlib
 import math
 import os
 import re
 import signal
+import subprocess
+import sys
 from multiprocessing.connection import wait
 
 import numpy as np
@@ -108,6 +111,46 @@ class TestRun:
         assert summary.mean_ms == 0.0
         (timed,) = run(config, measure_time=True)
         assert timed.mean_ms > 0.0
+
+
+# sha256 of `experiment --preset P --trials 10 --no-timing` CSVs. A change that
+# moves one updates it in the same commit and names the cells that moved and why.
+GOLDEN_CSV_SHA256 = {
+    "fig3": "6dec2bce8760642049b811832ddd9dff6f1f8629a0a4c53fa0d9485cf22a92ab",
+    "fig4": "a4e2d3a5b902e2522145c527d4ba1c3e71f3616f5e0febd6ddf69a28a326dc6d",
+    "table1": "1cb237237b370ee3ceb0358536ab893362f6253fe8249d04bb18fa336f2703f1",
+}
+
+
+def _preset_argv(name: str, out, threads: int = 1) -> list[str]:
+    return [
+        "experiment", "--preset", name, "--trials", "10", "--no-timing",
+        "--threads", str(threads), "--out", str(out),
+    ]
+
+
+class TestGoldenCsvDigests:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_in_process(self, tmp_path, threads):
+        for name, digest in GOLDEN_CSV_SHA256.items():
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(_preset_argv(name, out, threads)) == cli.EXIT_OK
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_fresh_process_per_blas_thread_count(self, tmp_path, blas_threads):
+        # OpenBLAS fixes its thread count when scipy's linear algebra first
+        # loads, so each count needs a process of its own
+        argvs = [_preset_argv(name, tmp_path / f"{name}.csv") for name in GOLDEN_CSV_SHA256]
+        script = f"import haplosim.cli as cli\nfor argv in {argvs!r}:\n    assert cli.main(argv) == 0\n"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name, digest in GOLDEN_CSV_SHA256.items():
+            csv_bytes = (tmp_path / f"{name}.csv").read_bytes()
+            assert hashlib.sha256(csv_bytes).hexdigest() == digest, name
 
 
 def test_threads_below_one_rejected():
