@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, erasure, experiments, fragio, planted, spectral
-from .model import Haplotype, MembershipVector, hamming_up_to_flip
-from .spectral import NonConvergedError, SpectralConfig
+from .model import NON_CONVERGED, Haplotype, MembershipVector, hamming_up_to_flip
+from .spectral import SpectralConfig
 
 EXIT_OK = 0
 EXIT_INEXACT = 1
@@ -37,7 +37,6 @@ EXIT_WORKER_LOST = 5
 # the error a command raises decides its exit code and one stderr line,
 # `<command>: <message>`; the first row whose classes match wins
 _EXIT_CODES = (
-    (NonConvergedError, EXIT_NON_CONVERGED, "FAILURE NonConverged: {}"),
     (experiments.WorkerLostError, EXIT_WORKER_LOST, "{}"),
     (MemoryError, EXIT_USAGE, "out of memory; the input is too large for this machine"),
     ((OSError, ValueError, OverflowError), EXIT_USAGE, "{}"),  # ValueError: FragmentFormatError too
@@ -108,19 +107,17 @@ def _cmd_decode(args, parser) -> int:
         if len(true_h) != observed.num_cols:
             raise ValueError(f"truth file {args.truth} has {len(true_h)} sites, not {observed.num_cols}")
 
-    if args.algo == "ed":
-        result = erasure.decode(observed, strict=args.strict)
-    else:
-        cfg = SpectralConfig(tolerance=args.tol, max_iterations=args.max_iter, seed=args.seed)
-        result = spectral.decode(observed, cfg)
-    reason = None if result.ok else result.describe()
-    if args.algo == "sp" and result.meta["linked_pairs"] == 0:
-        reason = "NoLinkedPairs"  # no read links two sites, so the split is arbitrary
-    if reason is not None:
-        _say(f"FAILURE {reason}")
+    # ed ignores --tol, --max-iter and --seed, so only sp builds (and checks) a SpectralConfig
+    result = (
+        erasure.decode(observed, strict=args.strict) if args.algo == "ed"
+        else spectral.decode(observed, SpectralConfig(args.tol, args.max_iter, args.seed))
+    )
+    if not result.ok:
+        reason, non_converged = result.describe(), result.reason == NON_CONVERGED
+        _say(f"decode: FAILURE {reason}: {result.meta['error']}" if non_converged else f"FAILURE {reason}")
         _emit("status", "failure")
         _emit("reason", reason)
-        return EXIT_DECODE_FAILURE
+        return EXIT_NON_CONVERGED if non_converged else EXIT_DECODE_FAILURE
     estimate, membership = result.haplotype, result.membership
     if args.algo == "sp" and args.memberships:
         membership = spectral.infer_memberships(observed, estimate)
@@ -302,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         for kinds, code, message in _EXIT_CODES:
             if isinstance(exc, kinds):
                 _say(f"{args.command}: {message.format(exc)}")
-                if code == EXIT_NON_CONVERGED:
-                    _emit("status", "failure")
-                    _emit("reason", "NonConverged")
                 return code
         raise  # not an input error: a bug, shown with its traceback
 

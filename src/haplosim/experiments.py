@@ -6,8 +6,8 @@ are bit-identical regardless of worker count or scheduling; per-trial wall
 times are the only nondeterministic output and can be disabled for
 byte-reproducible CSVs.
 
-A failed trial (erasure-decoding failure or eigen non-convergence) counts
-as chance-level: SNP error fraction 0.5 and no exact recovery.
+A failed decode (any failure reason, eigen non-convergence and no linked
+pair included) counts as chance-level: SNP error fraction 0.5, not exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import erasure, spectral
 from .channel import ChannelConfig, transmit
 from .model import Haplotype, MembershipVector, hamming_up_to_flip
-from .spectral import NonConvergedError, SpectralConfig
+from .spectral import SpectralConfig
 
 __all__ = [
     "Cell",
@@ -155,26 +155,16 @@ def _run_trial(
     out: dict[str, tuple[bool, float, bool, float]] = {}
     for name in cell.decoders():
         start = time.perf_counter() if measure_time else 0.0
-        failed = False
-        estimate = None
-        if name == "ed":
-            result = erasure.decode(observed)
-            if result.ok:
-                estimate = result.haplotype
-            else:
-                failed = True
-        else:
-            try:
-                result = spectral.decode(observed, SpectralConfig(seed=solver_seed))
-                estimate = result.haplotype
-            except NonConvergedError:
-                failed = True
+        result = (
+            erasure.decode(observed) if name == "ed"
+            else spectral.decode(observed, SpectralConfig(seed=solver_seed))
+        )
         millis = (time.perf_counter() - start) * 1e3 if measure_time else 0.0
-        if estimate is None:
-            out[name] = (False, 0.5, failed, millis)
+        if not result.ok:
+            out[name] = (False, 0.5, True, millis)
         else:
-            errors, _flip = hamming_up_to_flip(h, estimate)
-            out[name] = (errors == 0, errors / cell.n, failed, millis)
+            errors, _flip = hamming_up_to_flip(h, result.haplotype)
+            out[name] = (errors == 0, errors / cell.n, False, millis)
     return out
 
 

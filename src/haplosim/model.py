@@ -20,6 +20,8 @@ __all__ = [
     "UNCOVERED_COLUMN",
     "DISCONNECTED",
     "INCONSISTENT",
+    "NO_LINKED_PAIRS",
+    "NON_CONVERGED",
     "hamming_up_to_flip",
 ]
 
@@ -162,15 +164,17 @@ class ReadMatrix:
         return np.repeat(np.arange(self.num_rows, dtype=self.indptr.dtype), np.diff(self.indptr))
 
 
-# Failure reasons carried by RecoveryResult.
-UNCOVERED_COLUMN = "uncovered_column"
-DISCONNECTED = "disconnected"
-INCONSISTENT = "inconsistent"
+# Failure reasons carried by RecoveryResult, each the name the CLI prints.
+UNCOVERED_COLUMN = "UncoveredColumn"
+DISCONNECTED = "DisconnectedComponent"
+INCONSISTENT = "Inconsistent"
+NO_LINKED_PAIRS = "NoLinkedPairs"
+NON_CONVERGED = "NonConverged"
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Outcome of a decoding attempt.
+    """Outcome of a decoding attempt, from either decoder.
 
     On success `haplotype` is always present; `membership` is present for
     erasure decoding and absent for spectral partitioning unless inferred
@@ -190,13 +194,7 @@ class RecoveryResult:
     def describe(self) -> str:
         if self.ok:
             return "Success"
-        if self.reason == UNCOVERED_COLUMN:
-            return f"UncoveredColumn({self.column})"
-        if self.reason == DISCONNECTED:
-            return "DisconnectedComponent"
-        if self.reason == INCONSISTENT:
-            return "Inconsistent"
-        return self.reason
+        return self.reason if self.column is None else f"{self.reason}({self.column})"
 
 
 def hamming_up_to_flip(truth: Haplotype, estimate: Haplotype) -> tuple[int, int]:

@@ -41,7 +41,9 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .model import Haplotype, MembershipVector, ReadMatrix, RecoveryResult
+from .model import (
+    NO_LINKED_PAIRS, NON_CONVERGED, Haplotype, MembershipVector, ReadMatrix, RecoveryResult,
+)
 
 __all__ = [
     "VoteMatrix",
@@ -338,20 +340,23 @@ def decode(matrix: ReadMatrix, config: SpectralConfig | None = None) -> Recovery
     """build_adjacency -> top_two_eigenpairs -> partition.
 
     The membership estimate is not part of this decoder (use
-    infer_memberships). meta carries both eigenvalues, a low_confidence
-    flag for near-degenerate spectra, and the adjacency fill.
+    infer_memberships). meta carries the adjacency fill, and on success both
+    eigenvalues and a low_confidence flag for near-degenerate spectra. A
+    solve that misses its contract fails as NON_CONVERGED, with its residual,
+    restart budget and message in meta; no linked pair fails as NO_LINKED_PAIRS.
     """
     cfg = config or SpectralConfig()
     votes = build_adjacency(matrix)
-    (lam1, _v1), (lam2, v2) = top_two_eigenpairs(votes, cfg)
-    estimate = partition(v2)
-    meta = {
-        "lambda1": lam1,
-        "lambda2": lam2,
-        "low_confidence": _near_tie(lam1, lam2, cfg.tolerance),
-        "linked_pairs": len(votes.edges),
-    }
-    return RecoveryResult(estimate, None, meta=meta)
+    meta = {"linked_pairs": len(votes.edges)}
+    try:
+        (lam1, _v1), (lam2, v2) = top_two_eigenpairs(votes, cfg)
+    except NonConvergedError as exc:
+        meta.update(residual=exc.residual, restarts=exc.iterations, error=str(exc))
+        return RecoveryResult(None, None, reason=NON_CONVERGED, meta=meta)
+    if meta["linked_pairs"] == 0:  # after the solve, which rejects a size below 2
+        return RecoveryResult(None, None, reason=NO_LINKED_PAIRS, meta=meta)
+    meta.update(lambda1=lam1, lambda2=lam2, low_confidence=_near_tie(lam1, lam2, cfg.tolerance))
+    return RecoveryResult(partition(v2), None, meta=meta)
 
 
 def infer_memberships(matrix: ReadMatrix, haplotype: Haplotype) -> MembershipVector:

@@ -2,9 +2,10 @@
 
 perfbench/tracing.py swaps 18 module attributes of haplosim for recording
 wrappers and reads the VoteMatrix arrays for its pair counts. These tests
-run one fig3 sweep round and one CLI simulate/decode round under its hooks,
-so a refactor that drops a patched attribute, or changes what the counts
-read, fails here and not only in the benchmark.
+run one fig3 sweep round, one CLI simulate/decode round and one
+non-converging CLI decode under its hooks, so a refactor that drops a
+patched attribute, or changes what the counts read, fails here and not
+only in the benchmark.
 """
 
 from __future__ import annotations
@@ -78,3 +79,18 @@ def test_cli_round_under_hooks(tracing, adjacency_inputs, capsys, tmp_path):
     assert tracer.counts["fragio.bytes"] > 0
     assert adjacency_inputs == [load_fragments(frag)]
     check_pair_counts(tracer, list(adjacency_inputs))
+
+
+def test_non_converging_cli_decode_under_hooks(tracing, capsys, tmp_path):
+    # the CLI reads non-convergence off the decode result, while the tracer
+    # counts it from the error top_two_eigenpairs raises inside the decode
+    frag = tmp_path / "hard.frag"
+    tracer = tracing.Tracer(expect_error_free=False)
+    with tracing.hooks(tracer):
+        assert cli.main(
+            ["simulate", "--n", "25", "--m", "120", "--p", "0.2", "--seed", "8", "--out", str(frag)]
+        ) == 0
+        assert cli.main(["decode", "--algo", "sp", "--in", str(frag), "--max-iter", "1"]) == 4
+    capsys.readouterr()
+    assert tracer.counts["spectral.eigen_nonconverged"] == 1
+    assert tracer.take_problems() == []

@@ -5,7 +5,7 @@ import pytest
 
 import tuple_reference as ref
 from conftest import build_matrix, check_adjacency_equivariance, random_instance
-from haplosim.model import Haplotype, hamming_up_to_flip
+from haplosim.model import NO_LINKED_PAIRS, NON_CONVERGED, Haplotype, hamming_up_to_flip
 from haplosim.planted import PlantedParams, spectrum
 from haplosim.spectral import (
     NonConvergedError,
@@ -248,12 +248,8 @@ class TestDecode:
         n = 100
         for t in range(15):
             h, _, observed = random_instance(n, n, 2, 0.1, seed=900 + t)
-            try:
-                result = decode(observed, SpectralConfig(seed=t))
-                errors, _ = hamming_up_to_flip(h, result.haplotype)
-                errs.append(errors / n)
-            except NonConvergedError:
-                errs.append(0.5)
+            result = decode(observed, SpectralConfig(seed=t))
+            errs.append(hamming_up_to_flip(h, result.haplotype)[0] / n if result.ok else 0.5)
         assert np.mean(errs) > 0.1
 
     def test_low_confidence_gap_is_relative_to_lambda1(self):
@@ -268,6 +264,19 @@ class TestDecode:
         assert result.meta["lambda1"] == pytest.approx(30.0, abs=1.5)
         assert result.meta["lambda2"] == pytest.approx(29.0, abs=1.5)
         assert result.meta["low_confidence"]
+
+    def test_non_convergence_is_a_failed_result(self):
+        # top_two_eigenpairs raises; decode returns the same facts in meta
+        _, _, observed = random_instance(25, 120, 2, 0.2, seed=0)
+        result = decode(observed, SpectralConfig(max_iterations=1, seed=0))
+        assert (result.reason, result.haplotype, result.describe()) == (NON_CONVERGED, None, "NonConverged")
+        assert result.meta["residual"] > 0 and result.meta["restarts"] == 1
+        assert result.meta["error"] == str(NonConvergedError(result.meta["residual"], 1))
+
+    def test_no_linked_pair_is_a_failed_result(self):
+        # one read over two sites that disagree links no pair
+        result = decode(ref.read_matrix(3, (((0, 1), (2, -1)),)), SpectralConfig(seed=0))
+        assert (result.reason, result.haplotype, result.meta) == (NO_LINKED_PAIRS, None, {"linked_pairs": 0})
 
     def test_membership_absent(self, example_8x6):
         _, _, observed = example_8x6
