@@ -136,18 +136,19 @@ def prob_disconnected_split(n: int, m: int, u: int, v: int) -> float:
 
     Evaluates C(n,v) C(m,u) C(v,2)^u C(n-v,2)^(m-u) / C(n,2)^m in log
     space; clamped to [0, 1], since the C(n,v) C(m,u) choice factor can
-    carry it past 1.
+    carry it past 1. The two powers are taken of their pair ratios,
+    v(v-1)/(n(n-1)) and 1 - v(2n-v-1)/(n(n-1)) through log1p, so u and m-u
+    multiply no difference of log-binomials.
     """
     if not 1 <= u <= m - 1:
         raise ValueError(f"u must be in [1, m-1], got u={u}, m={m}")
     if not 2 <= v <= n - 2:
         raise ValueError(f"v must be in [2, n-2], got v={v}, n={n}")
-    log_pairs = _log_comb(n, 2)
+    ordered_pairs = n * (n - 1)
     log_value = (
         _log_comb(n, v)
         + _log_comb(m, u)
-        + u * _log_comb(v, 2)
-        + (m - u) * _log_comb(n - v, 2)
-        - m * log_pairs
+        + u * math.log(v * (v - 1) / ordered_pairs)
+        + (m - u) * math.log1p(-v * (2 * n - v - 1) / ordered_pairs)
     )
     return math.exp(min(0.0, log_value))

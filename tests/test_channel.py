@@ -276,6 +276,16 @@ class TestDisconnectedSplitProbability:
         values = [prob_disconnected_split(8, m, 1, 2) for m in range(2, 40)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "n, m, u, v", [(10**4, 92103, 1, 2), (10**5, 1151293, 1, 2), (10**5, 1151293, 3, 5)]
+    )
+    def test_matches_high_precision_value_at_genome_scale(self, n, m, u, v):
+        # m near n ln n multiplies any rounding in the two powers' logs
+        with mpmath.workdps(50):
+            b = mpmath.binomial
+            expected = b(n, v) * b(m, u) * b(v, 2) ** u * b(n - v, 2) ** (m - u) / b(n, 2) ** m
+        assert prob_disconnected_split(n, m, u, v) == pytest.approx(float(expected), rel=1e-8, abs=0)
+
     def test_choice_factor_past_one_clamps(self):
         # the log value is about 1379 here; exp of it would overflow
         assert prob_disconnected_split(2000, 4, 2, 1000) == 1.0
