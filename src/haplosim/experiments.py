@@ -150,7 +150,7 @@ def _run_trial(
     c = MembershipVector(truth_rng.integers(0, 2, size=m) * 2 - 1)
     channel_seed = int(channel_ss.generate_state(1, dtype=np.uint64)[0])
     solver_seed = int(solver_ss.generate_state(1, dtype=np.uint64)[0])
-    observed, _ = transmit(h, c, ChannelConfig(n=cell.n, m=m, k=cell.k, p=cell.p, seed=channel_seed))
+    observed = transmit(h, c, ChannelConfig(n=cell.n, m=m, k=cell.k, p=cell.p, seed=channel_seed))[0]
 
     out: dict[str, tuple[bool, float, bool, float]] = {}
     for name in cell.decoders():

@@ -66,6 +66,15 @@ def test_erasure_decode_matches_walk(matrix, strict):
     )
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_erasure_decode_matches_walk_at_cli_size(p, strict):
+    # the generated matrices above stop at n = 12, one or two pointer-jumping
+    # rounds; a channel draw at n = 2000 has a tree deep enough for several
+    observed = random_instance(2000, 30404, 2, p, seed=7)[2]
+    assert erasure.decode(observed, strict=strict) == ref.erasure_decode(observed, strict=strict)
+
+
 @DIFF
 @given(read_matrices(max_n=12, max_m=24), st.booleans())
 @example(ref.read_matrix(5, (((0, 1), (1, 1)), ((2, 1), (3, -1)))), False)

@@ -1,11 +1,13 @@
 """Bytes per stored entry of the read-matrix layers, measured with tracemalloc.
 
-One instance at n = 2000, m = ceil(2 n ln n), k = 2, p = 0. Each bound is
-25% above the peak measured on numpy 2.4 / scipy 1.17: transmit 17.0,
-ReadMatrix 7.0 and erasure.decode 33.3 bytes per entry. The peaks count
-what each call allocates, its result included, and not its inputs.
+One instance at n = 2000, m = ceil(2 n ln n), k = 2, p = 0, and for the
+erasure decoder the same draw at p = 0.1 too. Each bound is 25% above the
+peak measured on numpy 2.4 / scipy 1.17: transmit 17.0, ReadMatrix 7.0 and
+erasure.decode 16.2 bytes per entry at either p. The peaks count what each
+call allocates, its result included, and not its inputs.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -50,8 +52,11 @@ def test_read_matrix_bytes_per_entry(instance):
     assert peak_bytes(lambda: ReadMatrix(N, *arrays)) / observed.indices.size <= 8.8
 
 
-def test_erasure_decode_bytes_per_entry(instance):
-    observed = instance[3]
+@pytest.mark.parametrize("p", [0.0, 0.1])
+def test_erasure_decode_bytes_per_entry(instance, p):
+    h, c, cfg, _ = instance
+    observed = channel.transmit(h, c, dataclasses.replace(cfg, p=p))[0]
     result = erasure.decode(observed)
-    assert result.ok and result.meta["mismatches"] == 0
-    assert peak_bytes(lambda: erasure.decode(observed)) / observed.indices.size <= 41.6
+    # p = 0.1 takes the majority-vote tally: some entries disagree with it
+    assert result.ok and (result.meta["mismatches"] > 0) == (p > 0)
+    assert peak_bytes(lambda: erasure.decode(observed)) / observed.indices.size <= 20.3
