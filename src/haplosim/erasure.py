@@ -104,7 +104,7 @@ def decode(matrix: ReadMatrix, strict: bool = False) -> RecoveryResult:
     read_parent = parent[rows]
     read_parent -= m
     edge = np.flatnonzero(read_parent == cols)
-    del read_parent
+    del read_parent  # each entry-sized temporary goes before the next is made
     sign[rows[edge]] = values[edge]
     del edge
     # the parent array becomes the pointers up the tree: the root and the
